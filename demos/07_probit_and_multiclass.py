@@ -20,12 +20,10 @@ for a in ["vb", 0.5, 1.0]:
     cfg = TrainConfig(alpha=a, k_samples=50, batch_size=32, epochs=60,
                       learning_rate=0.05, seed=0)
     q, _, trace = train(model, data, default_prior(4), cfg)
-    correct = 0
-    for i in range(data.n):
-        probs = predict.predict_probit(q, model, data.features[i], 100, [0, i])
-        correct += int((probs[1] >= 0.5) == (data.targets[i] > 0))
+    probs = predict.predict_probit(q, model, data.features, 100, 0)  # (n, 2)
+    accuracy = np.mean((probs[:, 1] >= 0.5) == (data.targets > 0))
     print("probit alpha=%-5s final energy %9.3f  train accuracy %.3f"
-          % (a, trace.energy[-1], correct / data.n))
+          % (a, trace.energy[-1], accuracy))
 
 # --- three-class MLP ------------------------------------------------------
 print()
@@ -35,9 +33,7 @@ for a in [-1.0, 1e-6, 0.5, 1.0]:
     cfg = TrainConfig(alpha=a, k_samples=20, batch_size=30, epochs=40,
                       learning_rate=0.02, seed=0)
     q, _, trace = train(model, data, default_prior(model.theta_dim), cfg)
-    correct = 0
-    for i in range(data.n):
-        probs = predict.predict_class(q, model, data.features[i], 50, [0, i])
-        correct += int(np.argmax(probs) == int(data.targets[i]))
+    probs = predict.predict_class(q, model, data.features, 50, 0)   # (n, 3)
+    accuracy = np.mean(np.argmax(probs, axis=1) == data.targets)
     print("3-class alpha=%-6s final energy %9.3f  train accuracy %.3f"
-          % (a, trace.energy[-1], correct / data.n))
+          % (a, trace.energy[-1], accuracy))

@@ -271,15 +271,29 @@ def bmm(a, b):
     return Var(out, tape, tuple(parents), "bmm")
 
 
+def _is_basic_index(idx):
+    """True for ints, slices and tuples of them: each source element is
+    selected at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(i, slice) or (isinstance(i, (int, np.integer))
+                                        and not isinstance(i, bool))
+               for i in parts)
+
+
 def take(a, idx):
     """Basic/fancy indexing into a Var."""
     if not isinstance(a, Var):
         return _val(a)[idx]
     av = a.value
+    basic = _is_basic_index(idx)
 
     def vjp(g):
         out = np.zeros_like(av)
-        np.add.at(out, idx, g)
+        if basic:
+            out[idx] = g
+        else:
+            # fancy indices may repeat; accumulate every occurrence
+            np.add.at(out, idx, g)
         return out
 
     return Var(av[idx], a.tape, ((a, vjp),), "take")

@@ -7,6 +7,7 @@ format.  Exit codes: 0 success, 2 config error, 3 numerical divergence,
 4 IO error.
 """
 
+import dataclasses
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ import yaml
 from . import likelihoods as lk
 from . import oracle, predict
 from .diagnostics import gradient_bias_study
-from .errors import BBAlphaError, DivergenceDetected
+from .errors import BBAlphaError, ConfigError, DivergenceDetected, ParseError
 from .expfam import FactorizedGaussian
 from .optim import TrainConfig, default_prior, train
 
@@ -38,10 +39,22 @@ def load_posterior(path):
         header = fh.readline().split()
         if " ".join(header[:2]) != POSTERIOR_HEADER:
             raise BBAlphaError("%s: not a posterior file" % path)
+        if len(header) != 3 or not header[2].isdigit():
+            raise ParseError("%s: bad dimension in header %r"
+                             % (path, " ".join(header)))
         dim = int(header[2])
         rows = [fh.readline().split() for _ in range(dim)]
-    mu = np.array([float(r[0]) for r in rows])
-    log_var = np.array([float(r[1]) for r in rows])
+    pairs = []
+    for line, r in enumerate(rows, start=2):
+        try:
+            m, lv = (float(v) for v in r)   # a wrong field count is a ValueError
+        except ValueError:
+            raise ParseError("%s: line %d: expected 'mu log_var', found %r "
+                             "(header gives %d rows)"
+                             % (path, line, " ".join(r), dim)) from None
+        pairs.append((m, lv))
+    mu = np.array([m for m, _ in pairs])
+    log_var = np.array([lv for _, lv in pairs])
     return FactorizedGaussian(mu, log_var)
 
 
@@ -75,7 +88,7 @@ def _build_dataset(dcfg):
                                        d=int(dcfg.get("d", 4)))
     if kind == "three_class":
         return lk.gen_three_class(seed, n=int(dcfg.get("n", 120)))
-    raise BBAlphaError("unknown dataset kind %r" % kind)
+    raise ConfigError("unknown dataset kind %r" % kind)
 
 
 def _build_model(mcfg, n_features):
@@ -84,11 +97,17 @@ def _build_model(mcfg, n_features):
 
 
 def _train_config(tcfg):
-    alpha = tcfg.get("alpha", "vb")
-    if alpha != "vb":
-        alpha = float(alpha)
+    known = {f.name for f in dataclasses.fields(TrainConfig)}
+    unknown = sorted(str(k) for k in tcfg if k not in known)
+    if unknown:
+        raise ConfigError("unknown train key(s): %s" % ", ".join(unknown))
     fields = dict(tcfg)
-    fields["alpha"] = alpha
+    if fields.get("alpha", "vb") != "vb":
+        try:
+            fields["alpha"] = float(fields["alpha"])
+        except (TypeError, ValueError):
+            raise ConfigError("train alpha must be a number or 'vb', not %r"
+                              % fields["alpha"]) from None
     return TrainConfig(**fields)
 
 
@@ -115,30 +134,27 @@ def _run_split(args):
 
     log_sigma2 = hypers.get("log_sigma2", getattr(model, "log_sigma2", None))
     pred_seed = [seed, split_idx, 13]
-    lls, correct, sqerr = [], 0, []
-    for i in range(te.n):
-        x, y = te.features[i], te.targets[i]
-        if te.task == "probit":
-            probs = predict.predict_probit(q, model, x, metrics_k, pred_seed)
-            lls.append(float(np.log(max(probs[1] if y > 0 else probs[0], 1e-300))))
-            correct += int((probs[1] >= 0.5) == (y > 0))
-        elif te.task == "classification":
-            probs = predict.predict_class(q, model, x, metrics_k, pred_seed)
-            lls.append(float(np.log(max(probs[int(y)], 1e-300))))
-            correct += int(np.argmax(probs) == int(y))
-        else:
-            y_raw = y * te.y_std + te.y_mean
-            lls.append(predict.predict_loglik_regression(
-                q, model, x, y_raw, metrics_k, pred_seed, log_sigma2=log_sigma2,
-                y_mean=te.y_mean, y_std=te.y_std))
-            mean, _ = predict.predictive_regression_stats(
-                q, model, x[None, :], metrics_k, pred_seed, log_sigma2=log_sigma2)
-            sqerr.append((float(mean[0]) * te.y_std + te.y_mean - y_raw) ** 2)
-    avg_ll = float(np.mean(lls))
+    X, y = te.features, te.targets
     if te.task in ("probit", "classification"):
-        err = 1.0 - correct / te.n
+        if te.task == "probit":
+            probs = predict.predict_probit(q, model, X, metrics_k, pred_seed)
+            labels = (y > 0).astype(int)         # column 1 holds P(y=+1)
+            hits = (probs[:, 1] >= 0.5) == (y > 0)
+        else:
+            probs = predict.predict_class(q, model, X, metrics_k, pred_seed)
+            labels = y.astype(int)
+            hits = np.argmax(probs, axis=1) == labels
+        lls = np.log(np.maximum(probs[np.arange(te.n), labels], 1e-300))
+        err = float(1.0 - np.sum(hits) / te.n)
     else:
-        err = float(np.sqrt(np.mean(sqerr)))
+        y_raw = y * te.y_std + te.y_mean
+        lls = predict.predict_loglik_regression(
+            q, model, X, y_raw, metrics_k, pred_seed, log_sigma2=log_sigma2,
+            y_mean=te.y_mean, y_std=te.y_std)
+        mean, _ = predict.predictive_regression_stats(
+            q, model, X, metrics_k, pred_seed, log_sigma2=log_sigma2)
+        err = float(np.sqrt(np.mean((mean * te.y_std + te.y_mean - y_raw) ** 2)))
+    avg_ll = float(np.mean(lls))
     return {"split": split_idx, "test_ll": avg_ll, "test_error": err,
             "final_energy": trace.energy[-1], "q": q}
 
@@ -167,6 +183,9 @@ def cmd_train(config_path, out_dir=None):
                 results = list(pool.map(_run_split, jobs))
         else:
             results = [_run_split(j) for j in jobs]
+    except ConfigError as e:
+        click.echo("config error: %s" % e, err=True)
+        sys.exit(2)
     except DivergenceDetected as e:
         click.echo("divergence: %s" % e, err=True)
         sys.exit(3)

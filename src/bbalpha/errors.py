@@ -73,7 +73,11 @@ class DivergenceDetected(BBAlphaError):
 
 
 class ParseError(BBAlphaError):
-    """CSV cell failed to parse; message names the row and column."""
+    """Input file content failed to parse; message names where."""
+
+
+class ConfigError(BBAlphaError, ValueError):
+    """Configuration names an unknown kind or key, or an invalid value."""
 
 
 class MissingColumn(BBAlphaError):

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (ClassOutOfRange, MissingColumn, NonPositiveNoise,
-                     ParseError, ShapeMismatch)
+from .errors import (ClassOutOfRange, ConfigError, MissingColumn,
+                     NonPositiveNoise, ParseError, ShapeMismatch)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -97,9 +97,12 @@ class ProbitRegression:
     def log_lik(self, theta, x, y, hyper=None):
         return ad.log_norm_cdf(float(y) * ad.dot(theta, np.asarray(x, float)))
 
+    def batch_forward(self, Theta, X):
+        """Latent values theta^T x; (K, P) x (B, P) -> (K, B)."""
+        return ad.dot(Theta, np.asarray(X, float).T)
+
     def batch_log_lik(self, Theta, X, y, hyper=None):
-        # (K, P) x (B, P) -> (K, B)
-        z = ad.dot(Theta, np.asarray(X, float).T)
+        z = self.batch_forward(Theta, X)
         return ad.log_norm_cdf(z * np.asarray(y, float)[None, :])
 
 
@@ -115,15 +118,16 @@ class LinearRegression:
         self.sigma2 = float(sigma2)
         self.hyper_dim = 0
 
-    def forward(self, theta, X):
-        return ad.dot(np.atleast_2d(np.asarray(X, float)), theta)
-
     def log_lik(self, theta, x, y, hyper=None):
         resid = float(y) - ad.dot(theta, np.asarray(x, float))
         return -0.5 * np.log(2 * np.pi * self.sigma2) - resid * resid / (2 * self.sigma2)
 
+    def batch_forward(self, Theta, X):
+        """Regression means theta^T x; (K, P) x (B, P) -> (K, B)."""
+        return ad.dot(Theta, np.asarray(X, float).T)
+
     def batch_log_lik(self, Theta, X, y, hyper=None):
-        resid = np.asarray(y, float)[None, :] - ad.dot(Theta, np.asarray(X, float).T)
+        resid = np.asarray(y, float)[None, :] - self.batch_forward(Theta, X)
         return -0.5 * np.log(2 * np.pi * self.sigma2) - resid * resid / (2 * self.sigma2)
 
 
@@ -170,10 +174,8 @@ class MLPRegression:
         resid = float(y) - out
         return -0.5 * _LOG_2PI - 0.5 * ls2 - resid * resid / (2.0 * ad.exp(ls2))
 
-    def batch_log_lik(self, Theta, X, y, hyper=None):
-        # vectorized over the K sample rows of Theta
-        ls2 = self._log_sigma2(hyper)
-        y = np.asarray(y, float)
+    def batch_forward(self, Theta, X):
+        """Network outputs for each sample row of Theta; returns (K, B)."""
         X = np.atleast_2d(np.asarray(X, float))
         K = ad._val(Theta).shape[0]
         B = X.shape[0]
@@ -184,7 +186,11 @@ class MLPRegression:
         b2 = ad.reshape(Theta[:, h * d + 2 * h], (K, 1, 1))
         H = ad.relu(ad.bmm(W1, X.T) + b1)            # (K, h, B)
         out = ad.bmm(w2, H) + b2                     # (K, 1, B)
-        resid = ad.reshape(out, (K, B)) - y[None, :]
+        return ad.reshape(out, (K, B))
+
+    def batch_log_lik(self, Theta, X, y, hyper=None):
+        ls2 = self._log_sigma2(hyper)
+        resid = self.batch_forward(Theta, X) - np.asarray(y, float)[None, :]
         return -0.5 * _LOG_2PI - 0.5 * ls2 - resid * resid / (2.0 * ad.exp(ls2))
 
 
@@ -235,13 +241,10 @@ class MLPClassification:
         col = logits[:, 0]
         return col[y] - ad.logsumexp(col)
 
-    def batch_log_lik(self, Theta, X, y, hyper=None):
-        y = np.asarray(y, dtype=int)
-        if np.any((y < 0) | (y >= self.n_classes)):
-            raise ClassOutOfRange("labels outside [0, %d)" % self.n_classes)
+    def batch_forward(self, Theta, X):
+        """Class logits for each sample row of Theta; returns (K, C, B)."""
         X = np.atleast_2d(np.asarray(X, float))
         K = ad._val(Theta).shape[0]
-        B = X.shape[0]
         A = X.T
         off = 0
         for i, (nout, nin) in enumerate(self.layer_dims):
@@ -252,7 +255,14 @@ class MLPClassification:
             A = ad.bmm(W, A) + b
             if i < len(self.layer_dims) - 1:
                 A = ad.relu(A)
-        picked = A[:, y, np.arange(B)]               # (K, B)
+        return A
+
+    def batch_log_lik(self, Theta, X, y, hyper=None):
+        y = np.asarray(y, dtype=int)
+        if np.any((y < 0) | (y >= self.n_classes)):
+            raise ClassOutOfRange("labels outside [0, %d)" % self.n_classes)
+        A = self.batch_forward(Theta, X)
+        picked = A[:, y, np.arange(ad._val(A).shape[2])]  # (K, B)
         return picked - ad.logsumexp(A, axis=1)
 
 
@@ -267,7 +277,7 @@ def make_model(kind, n_features, **kw):
     if kind == "mlp_classification":
         return MLPClassification(n_features, kw.get("n_hidden1", 50),
                                  kw.get("n_hidden2", 50), kw["n_classes"])
-    raise ValueError("unknown model kind %r" % kind)
+    raise ConfigError("unknown model kind %r" % kind)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +347,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     """Parse a headered, comma-separated UTF-8 file into a raw Dataset.
 
     Standardization happens later, on the training split only.  Probit labels
-    are normalized to {-1, +1} whatever the source encoding (0/1, -1/+1).
+    are normalized to {-1, +1} from either source encoding, 0/1 or -1/+1;
+    any other label value raises ParseError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -374,10 +385,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     X = np.asarray(rows, dtype=float)
     y = np.asarray(targets, dtype=float)
     if schema.task == "probit":
-        uniq = set(np.unique(y))
+        uniq = set(np.unique(y).tolist())
         if uniq <= {0.0, 1.0}:
             y = 2.0 * y - 1.0
-        y = np.sign(y)
+        elif not uniq <= {-1.0, 1.0}:
+            raise ParseError("%s: probit labels in column %r must be 0/1 or "
+                             "-1/+1, found %s" % (path, schema.target,
+                                                  sorted(uniq)))
     elif schema.task == "classification":
         y = y.astype(int)
     return Dataset(X, y, name=str(path), task=schema.task)

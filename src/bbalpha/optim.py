@@ -13,7 +13,8 @@ import numpy as np
 
 from .energy import (AlphaParam, bbalpha_energy_exact_grad, bbalpha_energy_mc,
                      vb_energy_mc)
-from .errors import DivergenceDetected, NonFiniteIntermediate
+from .errors import (ConfigError, DivergenceDetected, ImproperCavity,
+                     NonFiniteIntermediate)
 from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
 
 
@@ -44,11 +45,11 @@ class TrainConfig:
 
     def validate(self, n_data):
         if self.epochs < 1 or self.k_samples < 1:
-            raise ValueError("epochs and k_samples must be >= 1")
+            raise ConfigError("epochs and k_samples must be >= 1")
         if self.batch_size > n_data:
-            raise ValueError("batch_size exceeds dataset size")
+            raise ConfigError("batch_size exceeds dataset size")
         if self.optimizer == "sgd" and (self.sgd_a <= 0 or self.sgd_b <= 0):
-            raise ValueError("SGD schedule requires a, b > 0")
+            raise ConfigError("SGD schedule requires a, b > 0")
 
 
 @dataclass
@@ -109,7 +110,7 @@ def init_q(model, cfg: TrainConfig) -> FactorizedGaussian:
             parts.append(rng.normal(0.0, std, size=count))
         mu = np.concatenate(parts)
     else:
-        raise ValueError("unknown init policy %r" % cfg.init)
+        raise ConfigError("unknown init policy %r" % cfg.init)
     return FactorizedGaussian(mu, np.full(dim, float(cfg.init_log_var)))
 
 
@@ -141,10 +142,10 @@ def train(model, data, prior, cfg: TrainConfig):
     refreshed every cfg.refresh_every minibatches.  Raises
     DivergenceDetected when the energy grows more than
     cfg.divergence_factor-fold over an epoch, and at any step whose energy
-    or gradient is non-finite, before the optimizer applies it.  The error
-    carries the epoch and the global step; when a tape op produced the
-    non-finite value (NonFiniteIntermediate) it also carries the op name
-    and chains the original error.
+    or gradient is non-finite, or whose cavity is improper, before the
+    optimizer applies it.  The error carries the epoch and the global step;
+    when a tape op produced the non-finite value (NonFiniteIntermediate) it
+    also carries the op name.  It chains the original error.
     """
     import time
 
@@ -203,6 +204,10 @@ def train(model, data, prior, cfg: TrainConfig):
                     "op '%s' produced a non-finite value at epoch %d, step %d"
                     % (e.op_name, epoch, step),
                     epoch=epoch, step=step, op_name=e.op_name) from e
+            except ImproperCavity as e:
+                raise DivergenceDetected(
+                    "improper cavity at epoch %d, step %d (%s)" % (epoch, step, e),
+                    epoch=epoch, step=step) from e
             if not (np.isfinite(est.value) and np.isfinite(est.grad).all()):
                 raise DivergenceDetected(
                     "non-finite energy or gradient at epoch %d, step %d"

@@ -41,7 +41,8 @@ def _split_probit(seed):
 def _probit_test_ll(q, model, te, seed):
     lls = []
     for i in range(te.n):
-        probs = predict.predict_probit(q, model, te.features[i], 200, [seed, i])
+        probs = predict.predict_probit(q, model, te.features[i][None], 200,
+                                       [seed, i])[0]
         lls.append(np.log(max(probs[1] if te.targets[i] > 0 else probs[0], 1e-300)))
     return float(np.mean(lls))
 
@@ -80,7 +81,7 @@ def test_criterion_vb_limit_equivalence():
     lls = []
     for q in (q_a, q_v):
         lls.append(np.mean([predict.predict_loglik_regression(
-            q, model, data.features[i], data.targets[i], 100, [7, i])
+            q, model, data.features[i][None], data.targets[i], 100, [7, i])[0]
             for i in range(data.n)]))
     ok &= abs(lls[0] - lls[1]) < 1e-3
     _report("VB-limit equivalence (probit + toy-cubic MLP)", ok)
@@ -131,8 +132,8 @@ def test_criterion_pima_table1():
                                         epochs=200, seed=s))
             split_lls.append(_probit_test_ll(q, model, te, s))
             correct = sum(
-                int((predict.predict_probit(q, model, te.features[i], 100,
-                                            [s, i])[1] >= 0.5)
+                int((predict.predict_probit(q, model, te.features[i][None], 100,
+                                            [s, i])[0][1] >= 0.5)
                     == (te.targets[i] > 0)) for i in range(te.n))
             split_errs.append(1.0 - correct / te.n)
         lls.append(np.mean(split_lls))

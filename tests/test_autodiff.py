@@ -193,3 +193,26 @@ def test_repeated_use_of_node_accumulates():
 
     rep = ad.check_gradient(f, [np.array([0.3, -1.2])])
     assert rep.passed, rep
+
+
+def test_take_slice_gradient():
+    rng = np.random.default_rng(11)
+
+    def f(a):
+        return (ad.asum(a[:, 1:4] * a[:, 1:4]) + ad.asum(a[2] * 3.0)
+                + ad.asum(a[1:, 0]))
+
+    rep = ad.check_gradient(f, [rng.normal(size=(4, 5))])
+    assert rep.passed, rep
+
+
+def test_take_fancy_index_with_repeats_gradient():
+    rng = np.random.default_rng(12)
+    rows, cols = np.array([0, 2, 0, 0]), np.array([1, 1, 1, 3])
+
+    def f(a):
+        picked = a[:, rows, cols]
+        return ad.asum(picked * picked)
+
+    rep = ad.check_gradient(f, [rng.normal(size=(2, 3, 4))])
+    assert rep.passed, rep

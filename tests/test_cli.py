@@ -223,3 +223,65 @@ def test_toy_predictive_command(runner, tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "alpha,x,pred_mean,pred_std"
     assert len(lines) == 42
+
+
+def test_load_posterior_rejects_truncated_file(tmp_path):
+    from bbalpha.errors import BBAlphaError
+    for body in ("bbalpha-posterior v1 3\n0.5 -1\n",
+                 "bbalpha-posterior v1 2\n0.5 -1\n0.5\n",
+                 "bbalpha-posterior v1 1\n0.5 oops\n",
+                 "bbalpha-posterior v1\n0.5 -1\n",
+                 "bbalpha-posterior v1 x\n"):
+        path = tmp_path / "post.txt"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(BBAlphaError):
+            cli.load_posterior(path)
+
+
+def _assert_one_line_exit(result, code, needle):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and needle in lines[0], result.stderr
+
+
+def test_unknown_dataset_kind_exits_2(runner, tmp_path):
+    path = _tiny_train_config(tmp_path, dataset={"kind": "nope"})
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "unknown dataset kind 'nope'")
+
+
+def test_unknown_model_kind_exits_2(runner, tmp_path):
+    path = _tiny_train_config(tmp_path, model={"kind": "nope"})
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "unknown model kind 'nope'")
+
+
+def test_unknown_train_key_exits_2(runner, tmp_path):
+    path = _tiny_train_config(tmp_path)
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    cfg["train"]["learning_rat"] = 0.1
+    path = _write_config(tmp_path / "cfg_key.yaml", cfg)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "unknown train key(s): learning_rat")
+
+
+def test_improper_cavity_run_exits_3(runner, tmp_path):
+    path = _tiny_train_config(tmp_path)
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    cfg["train"]["alpha"] = 500.0   # beyond N: the cavity precision turns negative
+    cfg["experiment"]["n_splits"] = 1
+    path = _write_config(tmp_path / "cfg_cav.yaml", cfg)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 3, "improper cavity at epoch 0, step 0")
+
+
+def test_divergent_run_with_workers_exits_3(runner, tmp_path):
+    path = _tiny_train_config(tmp_path)
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    cfg["train"].update({"learning_rate": 50.0, "epochs": 60,
+                         "divergence_factor": 2.0, "k_samples": 5})
+    cfg["experiment"]["workers"] = 2
+    path = _write_config(tmp_path / "cfg_div.yaml", cfg)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 3, "divergence:")

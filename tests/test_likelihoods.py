@@ -180,3 +180,16 @@ def test_load_csv_skips_blank_lines(tmp_path):
     p = _write(tmp_path / "d.csv", "x,y\n1,2\n\n3,4\n")
     data = lk.load_csv(p, lk.CsvSchema(target="y"))
     assert data.n == 2
+
+
+def test_load_csv_probit_rejects_other_labels(tmp_path):
+    p = _write(tmp_path / "d.csv", "x,y\n1,0\n2,1\n3,2\n4,-1\n")
+    with pytest.raises(ParseError) as e:
+        lk.load_csv(p, lk.CsvSchema(target="y", task="probit"))
+    assert "[-1.0, 0.0, 1.0, 2.0]" in str(e.value)
+
+
+def test_load_csv_probit_keeps_signed_labels(tmp_path):
+    p = _write(tmp_path / "d.csv", "x,y\n1,-1\n2,1\n3,1\n")
+    data = lk.load_csv(p, lk.CsvSchema(target="y", task="probit"))
+    assert np.array_equal(data.targets, [-1.0, 1.0, 1.0])

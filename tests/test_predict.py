@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from bbalpha import autodiff as ad
 from bbalpha import likelihoods as lk
 from bbalpha import predict
 from bbalpha.expfam import FactorizedGaussian
@@ -13,7 +14,7 @@ def test_regression_loglik_collapses_to_point_estimate():
     model = lk.LinearRegression(2, sigma2=0.25)
     q = FactorizedGaussian([1.0, -1.0], [-30.0, -30.0])
     x, y = np.array([0.5, 0.2]), 0.4
-    ll = predict.predict_loglik_regression(q, model, x, y, 1, None)
+    ll = predict.predict_loglik_regression(q, model, x[None], y, 1, None)[0]
     expect = stats.norm.logpdf(y, loc=q.mu @ x, scale=0.5)
     assert np.isclose(ll, expect, atol=1e-6)
 
@@ -23,16 +24,16 @@ def test_regression_loglik_jacobian_correction():
     q = FactorizedGaussian([0.0], [-30.0])
     x = np.array([1.0])
     # with y_std = 2 the density shrinks by log 2
-    base = predict.predict_loglik_regression(q, model, x, 0.0, 1, None)
-    scaled = predict.predict_loglik_regression(q, model, x, 0.0, 1, None,
-                                               y_mean=0.0, y_std=2.0)
+    base = predict.predict_loglik_regression(q, model, x[None], 0.0, 1, None)[0]
+    scaled = predict.predict_loglik_regression(q, model, x[None], 0.0, 1, None,
+                                               y_mean=0.0, y_std=2.0)[0]
     assert np.isclose(base - scaled, np.log(2.0))
 
 
 def test_probit_probabilities_sum_to_one():
     model = lk.ProbitRegression(2)
     q = FactorizedGaussian([2.0, 0.0], [-2.0, -2.0])
-    probs = predict.predict_probit(q, model, np.array([1.0, 0.0]), 500, 0)
+    probs = predict.predict_probit(q, model, np.array([1.0, 0.0])[None], 500, 0)[0]
     assert np.isclose(probs.sum(), 1.0)
     assert probs[1] > 0.8  # strongly positive logit
 
@@ -40,7 +41,7 @@ def test_probit_probabilities_sum_to_one():
 def test_probit_tight_posterior_matches_ndtr():
     model = lk.ProbitRegression(1)
     q = FactorizedGaussian([0.7], [-30.0])
-    probs = predict.predict_probit(q, model, np.array([1.0]), 50, 0)
+    probs = predict.predict_probit(q, model, np.array([1.0])[None], 50, 0)[0]
     assert np.isclose(probs[1], special.ndtr(0.7), atol=1e-5)
 
 
@@ -49,7 +50,7 @@ def test_class_probabilities_normalize():
     rng = np.random.default_rng(0)
     q = FactorizedGaussian(rng.normal(size=model.theta_dim),
                            np.full(model.theta_dim, -3.0))
-    probs = predict.predict_class(q, model, np.array([0.3, -0.2]), 20, 1)
+    probs = predict.predict_class(q, model, np.array([0.3, -0.2])[None], 20, 1)[0]
     assert probs.shape == (3,)
     assert np.isclose(probs.sum(), 1.0)
     assert np.all(probs >= 0.0)
@@ -74,3 +75,101 @@ def test_regression_stats_spread_grows_with_posterior_variance():
     _, s_tight = predict.predictive_regression_stats(tight, model, X, 200, 2)
     _, s_wide = predict.predictive_regression_stats(wide, model, X, 200, 2)
     assert s_wide.mean() > s_tight.mean()
+
+
+# ---------------------------------------------------------------------------
+# batched rows against a per-row, per-sample loop on the same draws
+
+def _fixture(model, seed):
+    rng = np.random.default_rng(seed)
+    q = FactorizedGaussian(0.5 * rng.normal(size=model.theta_dim),
+                           np.full(model.theta_dim, -2.0))
+    return q, rng.normal(size=(11, model.d_in if hasattr(model, "d_in")
+                               else model.theta_dim))
+
+
+def _regression_output(model, theta, x):
+    if model.kind == "mlp_regression":
+        return float(model.forward(theta, x[None])[0])
+    return float(theta @ x)
+
+
+def _noise_log_var(model):
+    if hasattr(model, "log_sigma2"):
+        return model.log_sigma2
+    return np.log(model.sigma2)
+
+
+REGRESSION_MODELS = [lk.LinearRegression(3, sigma2=0.5),
+                     lk.MLPRegression(3, 6, log_sigma2=0.3)]
+
+
+@pytest.mark.parametrize("model", REGRESSION_MODELS, ids=lambda m: m.kind)
+def test_batched_loglik_regression_matches_per_row_loop(model):
+    q, X = _fixture(model, 10)
+    y = np.random.default_rng(11).normal(2.0, 3.0, size=X.shape[0])
+    got = predict.predict_loglik_regression(q, model, X, y, 30, 4,
+                                            y_mean=1.5, y_std=2.5)
+    theta = predict._theta_samples(q, 30, 4)
+    ref = [special.logsumexp([float(ad._val(model.log_lik(th, x, (t - 1.5) / 2.5)))
+                              for th in theta]) - np.log(30) - np.log(2.5)
+           for x, t in zip(X, y)]
+    assert got.shape == (X.shape[0],)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("model", REGRESSION_MODELS, ids=lambda m: m.kind)
+def test_batched_regression_stats_match_per_row_loop(model):
+    q, X = _fixture(model, 12)
+    mean, std = predict.predictive_regression_stats(q, model, X, 30, 5)
+    theta = predict._theta_samples(q, 30, 5)
+    outs = np.array([[_regression_output(model, th, x) for th in theta]
+                     for x in X])
+    np.testing.assert_allclose(mean, outs.mean(axis=1), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        std, np.sqrt(outs.var(axis=1) + np.exp(_noise_log_var(model))),
+        rtol=1e-12, atol=0)
+
+
+def test_batched_probit_matches_per_row_loop():
+    model = lk.ProbitRegression(3)
+    q, X = _fixture(model, 13)
+    probs = predict.predict_probit(q, model, X, 30, 6)
+    theta = predict._theta_samples(q, 30, 6)
+    p_pos = np.array([np.mean([special.ndtr(th @ x) for th in theta]) for x in X])
+    assert probs.shape == (X.shape[0], 2)
+    np.testing.assert_allclose(probs[:, 1], p_pos, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(probs[:, 0], 1.0 - p_pos, rtol=1e-12, atol=0)
+
+
+def test_batched_class_matches_per_row_loop():
+    model = lk.MLPClassification(3, 5, 4, 3)
+    q, X = _fixture(model, 14)
+    probs = predict.predict_class(q, model, X, 30, 7)
+    theta = predict._theta_samples(q, 30, 7)
+    ref = []
+    for x in X:
+        logits = [model.logits(th, x[None])[:, 0] for th in theta]
+        ref.append(np.mean([np.exp(l - special.logsumexp(l)) for l in logits],
+                           axis=0))
+    assert probs.shape == (X.shape[0], 3)
+    np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0)
+
+
+def test_row_blocks_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(15)
+    X, y = rng.normal(size=(23, 2)), rng.normal(size=23)
+    reg = lk.MLPRegression(2, 5, log_sigma2=0.1)
+    prb = lk.ProbitRegression(2)
+    cls = lk.MLPClassification(2, 4, 4, 3)
+    q_reg, q_prb, q_cls = (_fixture(m, 0)[0] for m in (reg, prb, cls))
+    calls = [
+        lambda: predict.predict_loglik_regression(q_reg, reg, X, y, 20, 1),
+        lambda: np.stack(predict.predictive_regression_stats(q_reg, reg, X, 20, 1)),
+        lambda: predict.predict_probit(q_prb, prb, X, 20, 1),
+        lambda: predict.predict_class(q_cls, cls, X, 20, 1),
+    ]
+    one_block = [f() for f in calls]
+    monkeypatch.setattr(predict, "ROW_BLOCK", 5)   # 23 rows: 5 blocks
+    for f, ref in zip(calls, one_block):
+        np.testing.assert_allclose(f(), ref, rtol=1e-12, atol=0)
