@@ -1,9 +1,8 @@
 """Black-box alpha-divergence minimization for factorized Gaussian posteriors."""
 
-from .energy import (AlphaParam, EnergyEstimate, MonteCarloConfig,
-                     bbalpha_energy_exact, bbalpha_energy_mc,
-                     lower_bound_certificate, stationarity_residual,
-                     vb_energy_exact, vb_energy_mc)
+from .energy import (AlphaParam, EnergyEstimate, bbalpha_energy_exact,
+                     bbalpha_energy_mc, lower_bound_certificate,
+                     stationarity_residual, vb_energy_exact, vb_energy_mc)
 from .expfam import (FactorizedGaussian, MeanVarParams, NaturalParams,
                      SiteFactor, cavity, log_partition, log_site,
                      meanvar_to_nat, nat_to_meanvar, sample_reparam,

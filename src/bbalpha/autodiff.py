@@ -5,6 +5,9 @@ primitives (arithmetic, exp/log, rectifier, stable log-sum-exp, the normal
 log-CDF, matrix products).  Every op works on plain numpy arrays when no
 :class:`Var` is involved, so model code can be written once and evaluated
 with or without gradients.
+
+The gradients that :func:`value_and_grad` returns are fresh, writable arrays:
+they share no memory with each other, with the inputs or with the tape.
 """
 
 import numpy as np
@@ -34,7 +37,7 @@ class Var:
 
     def __init__(self, value, tape, parents=(), op_name="leaf"):
         self.value = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(self.value)):
+        if not np.isfinite(self.value).all():
             raise NonFiniteIntermediate(op_name)
         self.tape = tape
         self.parents = parents  # tuple of (Var, vjp) pairs
@@ -105,18 +108,31 @@ def _unbroadcast(g, shape):
 
 
 def _binary(name, fwd, vjp_a, vjp_b):
+    # the VJPs bind their operands as default arguments, not closure cells:
+    # each cell is one more GC-tracked object, and more of them per node
+    # make the cyclic collector run more often and promote live tapes to
+    # older generations, where dead tapes then linger
     def op(a, b):
-        if not _is_var(a, b):
-            return fwd(_val(a), _val(b))
-        tape = _tape_of(a, b)
-        av, bv = _val(a), _val(b)
+        a_var, b_var = isinstance(a, Var), isinstance(b, Var)
+        av = a.value if a_var else np.asarray(a, dtype=float)
+        bv = b.value if b_var else np.asarray(b, dtype=float)
         out = fwd(av, bv)
+        if not (a_var or b_var):
+            return out
         parents = []
-        if isinstance(a, Var):
-            parents.append((a, lambda g, av=av, bv=bv: _unbroadcast(vjp_a(g, av, bv), av.shape)))
-        if isinstance(b, Var):
-            parents.append((b, lambda g, av=av, bv=bv: _unbroadcast(vjp_b(g, av, bv), bv.shape)))
-        return Var(out, tape, tuple(parents), name)
+        if a_var:
+            if av.shape == out.shape:
+                vjp = lambda g, av=av, bv=bv: vjp_a(g, av, bv)
+            else:
+                vjp = lambda g, av=av, bv=bv: _unbroadcast(vjp_a(g, av, bv), av.shape)
+            parents.append((a, vjp))
+        if b_var:
+            if bv.shape == out.shape:
+                vjp = lambda g, av=av, bv=bv: vjp_b(g, av, bv)
+            else:
+                vjp = lambda g, av=av, bv=bv: _unbroadcast(vjp_b(g, av, bv), bv.shape)
+            parents.append((b, vjp))
+        return Var(out, (a if a_var else b).tape, tuple(parents), name)
 
     return op
 
@@ -190,21 +206,39 @@ def amean(a, axis=None):
     return asum(a, axis=axis) / n
 
 
+def _logsumexp_keepdims(a, axis):
+    """scipy.special.logsumexp's algorithm for real input, keeping the
+    reduced axes: the m tied maxima are counted apart from the shifted sum s
+    of the other entries, and the result is log1p(s / m) + log(m) + max.
+    Bit-identical to scipy, without its array-API dispatch."""
+    if a.ndim == 0:
+        return _logsumexp_keepdims(a.reshape(1), axis).reshape(())
+    a_max = np.max(a, axis=axis, keepdims=True)
+    tied = a == a_max
+    m = np.sum(tied, axis=axis, keepdims=True, dtype=float)
+    # in a slice of -inf entries, -inf - -inf is NaN; every such entry is a
+    # tied maximum and is zeroed below, so the slice gives -inf as in scipy
+    with np.errstate(invalid="ignore"):
+        e = np.exp(a - a_max)
+    e[tied] = 0.0
+    s = np.sum(e, axis=axis, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
 def logsumexp(a, axis=None):
-    """Max-shifted log-sum-exp."""
+    """Max-shifted log-sum-exp over one axis or over all elements."""
     if not isinstance(a, Var):
-        return special.logsumexp(_val(a), axis=axis)
+        return np.squeeze(_logsumexp_keepdims(_val(a), axis), axis=axis)
     av = a.value
-    out = special.logsumexp(av, axis=axis)
+    out_kd = _logsumexp_keepdims(av, axis)
 
     def vjp(g):
+        soft = np.exp(av - out_kd)
         if axis is None:
-            soft = np.exp(av - out)
             return g * soft
-        soft = np.exp(av - np.expand_dims(out, axis))
         return np.expand_dims(g, axis) * soft
 
-    return Var(out, a.tape, ((a, vjp),), "logsumexp")
+    return Var(np.squeeze(out_kd, axis=axis), a.tape, ((a, vjp),), "logsumexp")
 
 
 def log_norm_cdf(z):
@@ -349,8 +383,13 @@ def _backward(out):
         for parent, vjp in node.parents:
             g = vjp(node.grad)
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + g
+                parent.grad = g
+            else:
+                parent.grad = parent.grad + g
+        if node.parents:
+            # consumed; only leaf gradients are read after the pass, and a
+            # tape awaiting the cyclic GC then holds its values alone
+            node.grad = None
 
 
 def value_and_grad(f, at):
@@ -365,7 +404,10 @@ def value_and_grad(f, at):
         # expression did not touch any slot; gradient is zero
         return float(np.asarray(out)), [np.zeros_like(l.value) for l in leaves]
     _backward(out)
-    grads = [l.grad if l.grad is not None else np.zeros_like(l.value)
+    # a VJP may hand back node.grad itself or a read-only broadcast view;
+    # adding +0.0 gives a fresh array, and turns a -0.0 first gradient into
+    # the +0.0 an accumulation starting from zeros would give
+    grads = [l.grad + 0.0 if l.grad is not None else np.zeros_like(l.value)
              for l in leaves]
     return float(out.value), grads
 

@@ -20,7 +20,8 @@ import yaml
 from . import likelihoods as lk
 from . import oracle, predict
 from .diagnostics import gradient_bias_study
-from .errors import BBAlphaError, ConfigError, DivergenceDetected, ParseError
+from .errors import (BBAlphaError, ConfigError, DivergenceDetected,
+                     MissingColumn, ParseError)
 from .expfam import FactorizedGaussian
 from .optim import TrainConfig, default_prior, train
 
@@ -74,13 +75,20 @@ def _load_config(path):
     return cfg
 
 
+def _required(section, cfg, key):
+    if key not in cfg:
+        raise ConfigError("missing required key %s.%s" % (section, key))
+    return cfg[key]
+
+
 def _build_dataset(dcfg):
     kind = dcfg.get("kind", "csv")
     seed = int(dcfg.get("seed", 0))
     if kind == "csv":
-        schema = lk.CsvSchema(target=dcfg["target"], task=dcfg.get("task", "regression"),
+        schema = lk.CsvSchema(target=_required("dataset", dcfg, "target"),
+                              task=dcfg.get("task", "regression"),
                               feature_columns=dcfg.get("feature_columns"))
-        return lk.load_csv(dcfg["path"], schema)
+        return lk.load_csv(_required("dataset", dcfg, "path"), schema)
     if kind == "toy_cubic":
         return lk.gen_toy_cubic(seed, n=int(dcfg.get("n", 20)))
     if kind == "synthetic_probit":
@@ -93,7 +101,7 @@ def _build_dataset(dcfg):
 
 def _build_model(mcfg, n_features):
     kw = {k: v for k, v in mcfg.items() if k != "kind"}
-    return lk.make_model(mcfg["kind"], n_features, **kw)
+    return lk.make_model(_required("model", mcfg, "kind"), n_features, **kw)
 
 
 def _train_config(tcfg):
@@ -183,12 +191,15 @@ def cmd_train(config_path, out_dir=None):
                 results = list(pool.map(_run_split, jobs))
         else:
             results = [_run_split(j) for j in jobs]
-    except ConfigError as e:
+    except (ConfigError, MissingColumn) as e:
         click.echo("config error: %s" % e, err=True)
         sys.exit(2)
     except DivergenceDetected as e:
         click.echo("divergence: %s" % e, err=True)
         sys.exit(3)
+    except (OSError, ParseError) as e:
+        click.echo("IO error: %s" % e, err=True)
+        sys.exit(4)
 
     results.sort(key=lambda r: r["split"])
     lls = np.array([r["test_ll"] for r in results])
@@ -265,9 +276,12 @@ def bias_cmd(config_path, out):
     except DivergenceDetected as e:
         click.echo("divergence: %s" % e, err=True)
         sys.exit(3)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, MissingColumn) as e:
         click.echo("config error: %s" % e, err=True)
         sys.exit(2)
+    except (OSError, ParseError) as e:
+        click.echo("IO error: %s" % e, err=True)
+        sys.exit(4)
     report.to_csv(out)
     ks = sorted({r.k for r in report.rows})
     ok = all(report.cell(a, ks[i]).bias_net >= report.cell(a, ks[i + 1]).bias_net

@@ -35,19 +35,6 @@ class AlphaParam:
             raise ValueError("alpha = N makes the site exponent degenerate")
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    """Sample count K, epsilon refresh period M and base seed."""
-
-    k_samples: int = 100
-    refresh_every: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k_samples < 1 or self.refresh_every < 1:
-            raise ValueError("k_samples and refresh_every must be >= 1")
-
-
 @dataclass
 class EnergyEstimate:
     """Energy value, gradient over trainable slots and sampling provenance."""
@@ -57,7 +44,6 @@ class EnergyEstimate:
     alpha: float
     k: int
     batch_ids: np.ndarray
-    seed_state: object = None
 
 
 def _prior_mv(prior: NaturalParams):

@@ -10,6 +10,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import autodiff as ad
 from .errors import (ClassOutOfRange, ConfigError, MissingColumn,
@@ -275,6 +276,9 @@ def make_model(kind, n_features, **kw):
         return MLPRegression(n_features, kw.get("n_hidden", 100),
                              kw.get("log_sigma2", 0.0), kw.get("learn_noise", False))
     if kind == "mlp_classification":
+        if "n_classes" not in kw:
+            raise ConfigError("missing required key model.n_classes for "
+                              "mlp_classification")
         return MLPClassification(n_features, kw.get("n_hidden1", 50),
                                  kw.get("n_hidden2", 50), kw["n_classes"])
     raise ConfigError("unknown model kind %r" % kind)
@@ -296,7 +300,7 @@ def gen_synthetic_probit(seed, n=200, d=4, w_scale=1.5):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, w_scale, size=d)
     X = rng.normal(size=(n, d))
-    p = _ndtr(X @ w)
+    p = special.ndtr(X @ w)
     y = np.where(rng.uniform(size=n) < p, 1.0, -1.0)
     return Dataset(X, y, name="synthetic_probit", task="probit")
 
@@ -324,11 +328,6 @@ def gen_separable_probit(seed, n=100, d=2, margin=1.0):
     X += np.outer(np.sign(z) * margin, w)
     y = np.sign(X @ w)
     return Dataset(X, y, name="separable_probit", task="probit")
-
-
-def _ndtr(z):
-    from scipy import special
-    return special.ndtr(z)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Results are per-row arrays; every row sees the same K samples.
 import numpy as np
 from scipy import special
 
+from . import autodiff as ad
 from .expfam import sample_reparam
 
 # Test rows per batched forward pass.
@@ -59,7 +60,7 @@ def predict_loglik_regression(q, model, X, y, k_samples, seed, log_sigma2=None,
         outs = model.batch_forward(theta, Xb)        # (K, B)
         comp = (-0.5 * np.log(2 * np.pi) - 0.5 * log_sigma2
                 - (yb[None, :] - outs) ** 2 / (2 * np.exp(log_sigma2)))
-        return special.logsumexp(comp, axis=0)
+        return ad.logsumexp(comp, axis=0)
 
     lse = _by_row_block(block, X, y_s)
     return lse - np.log(theta.shape[0]) - np.log(y_std)
@@ -82,7 +83,7 @@ def predict_class(q, model, X, k_samples, seed):
 
     def block(Xb):
         logits = model.batch_forward(theta, Xb)      # (K, C, B)
-        probs = np.exp(logits - special.logsumexp(logits, axis=1, keepdims=True))
+        probs = np.exp(logits - np.expand_dims(ad.logsumexp(logits, axis=1), 1))
         return probs.mean(axis=0).T
 
     return _by_row_block(block, X)

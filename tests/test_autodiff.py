@@ -216,3 +216,67 @@ def test_take_fancy_index_with_repeats_gradient():
 
     rep = ad.check_gradient(f, [rng.normal(size=(2, 3, 4))])
     assert rep.passed, rep
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for trial in range(400):
+        shape = tuple(rng.integers(1, 6, size=rng.integers(0, 4)))
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-2.0, 3.0)
+        if trial % 3 == 0:
+            a = np.round(a)          # tied maxima
+        if trial % 7 == 0 and a.ndim:
+            a[(0,) * (a.ndim - 1)] = -np.inf   # a row of all -inf
+        for axis in [None, *range(a.ndim)]:
+            assert _bits(ad.logsumexp(a, axis=axis)) == \
+                _bits(special.logsumexp(a, axis=axis)), (shape, axis)
+
+
+@pytest.mark.filterwarnings("error")
+def test_logsumexp_of_all_neg_inf_is_neg_inf():
+    a = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
+    assert ad.logsumexp(a, axis=1)[0] == -np.inf
+    assert ad.logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
+@pytest.mark.parametrize("f, shapes", [
+    (lambda a, b: ad.asum(a) + ad.asum(b), [(3,), (3,)]),   # add passes g through
+    (lambda a, b: ad.asum(a * b), [(2, 3), (3,)]),          # broadcast sum
+    (lambda a: ad.asum(a), [(2, 2)]),
+])
+def test_value_and_grad_returns_independent_writable_arrays(f, shapes):
+    at = [np.ones(s) for s in shapes]
+    _, grads = ad.value_and_grad(f, at)
+    for i, g in enumerate(grads):
+        assert g.shape == at[i].shape
+        assert g.flags.writeable
+        assert not any(np.shares_memory(g, x) for x in at)
+        assert not any(np.shares_memory(g, h) for h in grads[:i])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f, x, op_name", [
+    (lambda a: ad.exp(a * 1000.0), [1.0], "exp"),
+    (lambda a: ad.log(a - 1.0), [1.0], "log"),
+    (lambda a: a / (a - 1.0), [1.0], "div"),
+    (lambda a: a * 1e308, [1e10], "mul"),
+    (lambda a: a ** -1.0, [0.0], "pow"),
+])
+def test_nonfinite_value_trips_with_op_name(f, x, op_name):
+    with pytest.raises(NonFiniteIntermediate) as e:
+        ad.value_and_grad(lambda a: ad.asum(f(a)), [np.array(x)])
+    assert e.value.op_name == op_name
+
+
+def test_backward_keeps_only_leaf_gradients():
+    tape = ad.Tape()
+    a = ad.Var(np.arange(3.0), tape)
+    out = ad.asum(ad.exp(a) * a)
+    ad._backward(out)
+    assert np.allclose(a.grad, np.exp(np.arange(3.0)) * (1.0 + np.arange(3.0)))
+    assert all(node.grad is None for node in tape.nodes if node.parents)

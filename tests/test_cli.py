@@ -131,7 +131,9 @@ def test_train_vb_alpha_string(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
-def test_train_csv_dataset(runner, tmp_path):
+def _csv_train_config(tmp_path, **dataset):
+    """A probit CSV file and a one-split config reading it; `dataset`
+    entries override or, when None, delete the dataset keys."""
     data_path = tmp_path / "data.csv"
     rng = np.random.default_rng(0)
     with open(data_path, "w", encoding="utf-8") as fh:
@@ -140,15 +142,21 @@ def test_train_csv_dataset(runner, tmp_path):
             x = rng.normal(size=2)
             y = 1 if x[0] + x[1] > 0 else 0
             fh.write("%.6f,%.6f,%d\n" % (x[0], x[1], y))
+    dcfg = {"kind": "csv", "path": str(data_path), "target": "label",
+            "task": "probit"}
+    dcfg.update(dataset)
     cfg = {
-        "dataset": {"kind": "csv", "path": str(data_path), "target": "label",
-                    "task": "probit"},
+        "dataset": {k: v for k, v in dcfg.items() if v is not None},
         "model": {"kind": "probit"},
         "train": {"alpha": 1.0, "k_samples": 10, "batch_size": 18,
                   "epochs": 5, "learning_rate": 0.05},
         "experiment": {"n_splits": 1, "output_dir": str(tmp_path / "out")},
     }
-    path = _write_config(tmp_path / "cfg.yaml", cfg)
+    return _write_config(tmp_path / "cfg.yaml", cfg)
+
+
+def test_train_csv_dataset(runner, tmp_path):
+    path = _csv_train_config(tmp_path)
     result = runner.invoke(cli.main, ["train", path])
     assert result.exit_code == 0, result.output
 
@@ -285,3 +293,64 @@ def test_divergent_run_with_workers_exits_3(runner, tmp_path):
     path = _write_config(tmp_path / "cfg_div.yaml", cfg)
     result = runner.invoke(cli.main, ["train", path])
     _assert_one_line_exit(result, 3, "divergence:")
+
+
+@pytest.mark.parametrize("key", ["target", "path"])
+def test_missing_csv_dataset_key_exits_2(runner, tmp_path, key):
+    path = _csv_train_config(tmp_path, **{key: None})
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "missing required key dataset.%s" % key)
+
+
+def test_missing_model_kind_exits_2(runner, tmp_path):
+    path = _tiny_train_config(tmp_path, model={"n_hidden": 10})
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "missing required key model.kind")
+
+
+def test_missing_n_classes_exits_2(runner, tmp_path):
+    path = _tiny_train_config(tmp_path, dataset={"kind": "three_class", "n": 30},
+                              model={"kind": "mlp_classification"})
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "missing required key model.n_classes")
+
+
+def test_csv_missing_column_exits_2(runner, tmp_path):
+    path = _csv_train_config(tmp_path, target="nope")
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "column 'nope' not in header")
+
+
+def test_missing_csv_file_exits_4(runner, tmp_path):
+    path = _csv_train_config(tmp_path, path=str(tmp_path / "absent.csv"))
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 4, "absent.csv")
+
+
+def test_unreadable_csv_file_exits_4(runner, tmp_path):
+    # a directory cannot be opened as a file, whatever the user's rights
+    path = _csv_train_config(tmp_path, path=str(tmp_path))
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 4, "IO error:")
+
+
+def test_csv_parse_error_exits_4(runner, tmp_path):
+    path = _csv_train_config(tmp_path)
+    with open(tmp_path / "data.csv", "a", encoding="utf-8") as fh:
+        fh.write("0.5,oops,1\n")
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 4, "bad numeric cell")
+
+
+@pytest.mark.parametrize("dataset, code, needle", [
+    ({"target": None}, 2, "missing required key dataset.target"),
+    ({"path": "absent.csv"}, 4, "absent.csv"),
+])
+def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
+                                                           dataset, code, needle):
+    path = _csv_train_config(tmp_path, **dataset)
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    cfg["experiment"].update({"n_splits": 2, "workers": 2})
+    path = _write_config(tmp_path / "cfg_workers.yaml", cfg)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, code, needle)

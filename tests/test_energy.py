@@ -6,7 +6,7 @@ import pytest
 from bbalpha import energy as en
 from bbalpha import likelihoods as lk
 from bbalpha import oracle
-from bbalpha.energy import AlphaParam, MonteCarloConfig
+from bbalpha.energy import AlphaParam
 from bbalpha.errors import ImproperCavity
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import default_prior
@@ -29,13 +29,6 @@ def test_alpha_param_validation():
     with pytest.raises(ValueError):
         AlphaParam(10.0, 10)
     assert AlphaParam(-1.0, 10).alpha == -1.0
-
-
-def test_mc_config_validation():
-    with pytest.raises(ValueError):
-        MonteCarloConfig(k_samples=0)
-    with pytest.raises(ValueError):
-        MonteCarloConfig(refresh_every=0)
 
 
 def test_mc_estimator_converges_to_exact_energy():
