@@ -201,11 +201,6 @@ def asum(a, axis=None):
     return Var(out, a.tape, ((a, vjp),), "sum")
 
 
-def amean(a, axis=None):
-    n = _val(a).size if axis is None else _val(a).shape[axis]
-    return asum(a, axis=axis) / n
-
-
 def _logsumexp_keepdims(a, axis):
     """scipy.special.logsumexp's algorithm for real input, keeping the
     reduced axes: the m tied maxima are counted apart from the shifted sum s
@@ -339,38 +334,6 @@ def reshape(a, shape):
     av = a.value
     return Var(av.reshape(shape), a.tape,
                ((a, lambda g: np.asarray(g).reshape(av.shape)),), "reshape")
-
-
-def stack(rows):
-    """Stack same-shaped 1-d quantities into a matrix (axis 0)."""
-    if not _is_var(*rows):
-        return np.stack([_val(r) for r in rows])
-    tape = _tape_of(*rows)
-    vals = [_val(r) for r in rows]
-    out = np.stack(vals)
-    parents = []
-    for i, r in enumerate(rows):
-        if isinstance(r, Var):
-            parents.append((r, lambda g, i=i: np.asarray(g)[i]))
-    return Var(out, tape, tuple(parents), "stack")
-
-
-def concat(parts):
-    """Concatenate 1-d quantities."""
-    if not _is_var(*parts):
-        return np.concatenate([np.atleast_1d(_val(p)) for p in parts])
-    tape = _tape_of(*parts)
-    vals = [np.atleast_1d(_val(p)) for p in parts]
-    out = np.concatenate(vals)
-    parents = []
-    off = 0
-    for p, v in zip(parts, vals):
-        if isinstance(p, Var):
-            lo, hi = off, off + v.size
-            parents.append((p, lambda g, lo=lo, hi=hi, s=p.value.shape:
-                            np.asarray(g)[lo:hi].reshape(s)))
-        off += v.size
-    return Var(out, tape, tuple(parents), "concat")
 
 
 def _backward(out):

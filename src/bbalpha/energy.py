@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ImproperCavity, ImproperTilted
+from .errors import ConfigError, ImproperCavity, ImproperTilted
 from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -60,14 +60,13 @@ def _log_partition_expr(mu, log_var):
     return ad.asum(0.5 * mu * mu * ad.exp(-log_var) + 0.5 * (_LOG_2PI + log_var))
 
 
-def _check_cavity(mu, log_var, p_mu, p_log_var, n_data, alpha):
+def _check_cavity(log_var, p_log_var, n_data, alpha):
     """Numeric properness check of lambda_q - alpha * lambda."""
-    e2q = -0.5 * np.exp(-np.asarray(ad._val(log_var)))
-    e20 = -0.5 * np.exp(-np.asarray(ad._val(p_log_var)))
+    e2q = -0.5 * np.exp(-log_var)
+    e20 = -0.5 * np.exp(-p_log_var)
     cav2 = e2q - alpha * (e2q - e20) / n_data
     if np.any(cav2 >= 0.0):
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
-    return -2.0 * cav2  # cavity precision, reused by the exact path
 
 
 def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
@@ -129,7 +128,7 @@ def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
     if batch.size == 0:
         raise ValueError("empty minibatch")
     a, N = alpha.alpha, alpha.n_data
-    _check_cavity(q.mu, q.log_var, None, _prior_mv(prior)[1], N, a)
+    _check_cavity(q.log_var, _prior_mv(prior)[1], N, a)
     X, y = data.features[batch], data.targets[batch]
     slots, unpack = _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior)
 
@@ -207,7 +206,7 @@ def bbalpha_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
                          data, alpha: AlphaParam) -> float:
     """Exact tied-site energy; conjugate (Gaussian-likelihood) models only."""
     if model.kind != "linreg":
-        raise ValueError("exact energy requires a conjugate linreg model")
+        raise ConfigError("exact energy requires a conjugate linreg model")
     p_mu, p_log_var = _prior_mv(prior)
     return float(_exact_expr(q.mu, q.log_var, p_mu, p_log_var, data.features,
                              np.asarray(data.targets, float), model.sigma2,
@@ -218,7 +217,7 @@ def bbalpha_energy_exact_grad(q, prior, model, data, alpha: AlphaParam,
                               learn_prior=False) -> EnergyEstimate:
     """Exact energy with its gradient over (mu, log_var[, prior slots])."""
     if model.kind != "linreg":
-        raise ValueError("exact energy requires a conjugate linreg model")
+        raise ConfigError("exact energy requires a conjugate linreg model")
     X = data.features
     y = np.asarray(data.targets, float)
     slots, unpack = _slots_and_unpack(q, None, False, prior, learn_prior)
@@ -241,7 +240,7 @@ def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
     term is the diagonal-Gaussian KL from q to the prior.
     """
     if model.kind != "linreg":
-        raise ValueError("exact energy requires a conjugate linreg model")
+        raise ConfigError("exact energy requires a conjugate linreg model")
     mv_p = nat_to_meanvar(prior)
     var_q = q.var
     kl = 0.5 * np.sum(np.log(mv_p.var) - q.log_var
@@ -254,37 +253,20 @@ def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
     return float(kl - exp_ll)
 
 
-def _gtilde(prior: NaturalParams, X, y, sigma2, n_data):
-    """G~(N) = -(1/N) sum_n log int p0 p(x_n|.)^N, closed form."""
-    p_mu, p_log_var = _prior_mv(prior)
-    dim = X.shape[1]
-    eta1_0 = p_mu * np.exp(-p_log_var)
-    d0 = np.exp(-p_log_var)
-    logZ0 = float(np.sum(0.5 * p_mu ** 2 * np.exp(-p_log_var)
-                         + 0.5 * (_LOG_2PI + p_log_var)))
-    c = n_data / sigma2
-    h = eta1_0[None, :] + c * y[:, None] * X
-    inv_d = (1.0 / d0)[None, :]
-    s1 = np.sum(h * h * inv_d, axis=1)
-    s2 = np.sum(h * X * inv_d, axis=1)
-    s3 = np.sum(X * X * inv_d, axis=1)
-    denom = 1.0 + c * s3
-    quad = s1 - c * s2 ** 2 / denom
-    logdet = np.sum(np.log(d0)) + np.log(denom)
-    logint = (-0.5 * n_data * np.log(2 * np.pi * sigma2)
-              - n_data * y ** 2 / (2 * sigma2)
-              + 0.5 * quad + 0.5 * dim * _LOG_2PI - 0.5 * logdet)
-    return float(-np.mean(logint - logZ0))
-
-
 def lower_bound_certificate(q, prior, model, data, alpha: AlphaParam) -> float:
-    """E(lambda_0, lambda_q) minus its q-independent lower bound G~(N)."""
+    """E(lambda_0, lambda_q) minus its q-independent lower bound G~(N).
+
+    G~(N) = -(1/N) sum_n log int p0 p(y_n|.)^N is the exact energy at
+    alpha = N with q equal to the prior.
+    """
     if alpha.alpha > alpha.n_data:
         raise ValueError("certificate only holds for alpha <= N")
     e = bbalpha_energy_exact(q, prior, model, data, alpha)
-    g = _gtilde(prior, data.features, np.asarray(data.targets, float),
-                model.sigma2, alpha.n_data)
-    return e - g
+    N = alpha.n_data
+    p_mu, p_log_var = _prior_mv(prior)
+    g = _exact_expr(p_mu, p_log_var, p_mu, p_log_var, data.features,
+                    np.asarray(data.targets, float), model.sigma2, float(N), N)
+    return e - float(g)
 
 
 def stationarity_residual(q, prior, model, data, alpha: AlphaParam) -> float:
@@ -295,7 +277,7 @@ def stationarity_residual(q, prior, model, data, alpha: AlphaParam) -> float:
     """
     from .oracle import tilted_moments_linreg
     if model.kind != "linreg":
-        raise ValueError("stationarity residual requires a conjugate model")
+        raise ConfigError("stationarity residual requires a conjugate model")
     a, N = alpha.alpha, alpha.n_data
     q_nat = q.to_nat()
     prior_e1, prior_e2 = prior.eta1, prior.eta2

@@ -2,17 +2,15 @@
 
 Sufficient statistics are fixed as s(theta) = (theta_d, theta_d^2) per
 dimension, so eta2 = -1/(2 var) for a normalizable factor.  Natural
-parameters of the posterior q, the prior, the tied site factor and the
-cavities all live in this coordinate system.
+parameters of the posterior q and of the prior live in this coordinate
+system; the energy code forms the tied site and the cavities from them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImproperCavity, NonNormalizable, ShapeMismatch
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .errors import NonNormalizable, ShapeMismatch
 
 
 def _as_vec(x):
@@ -83,58 +81,10 @@ class FactorizedGaussian:
         return NaturalParams(self.mu / var, -0.5 / var)
 
 
-@dataclass(frozen=True)
-class SiteFactor:
-    """Tied site f(theta) = exp{s(theta)^T lambda}; unnormalized, eta2 any sign."""
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta1", _as_vec(self.eta1))
-        object.__setattr__(self, "eta2", _as_vec(self.eta2))
-        if self.eta1.shape != self.eta2.shape:
-            raise ShapeMismatch("eta1 %s vs eta2 %s" % (self.eta1.shape, self.eta2.shape))
-
-
 def nat_to_meanvar(np_: NaturalParams) -> MeanVarParams:
     """mu = -eta1/(2 eta2), var = -1/(2 eta2)."""
     var = -0.5 / np_.eta2
     return MeanVarParams(np_.eta1 * var, var)
-
-
-def meanvar_to_nat(mv: MeanVarParams) -> NaturalParams:
-    return NaturalParams(mv.mu / mv.var, -0.5 / mv.var)
-
-
-def nat_to_q(np_: NaturalParams) -> FactorizedGaussian:
-    mv = nat_to_meanvar(np_)
-    return FactorizedGaussian(mv.mu, np.log(mv.var))
-
-
-def log_partition(np_: NaturalParams) -> float:
-    """log Z(lambda) for a diagonal Gaussian."""
-    mv = nat_to_meanvar(np_)
-    return float(np.sum(0.5 * mv.mu ** 2 / mv.var + 0.5 * np.log(2 * np.pi * mv.var)))
-
-
-def site_from_q(q_nat: NaturalParams, prior_nat: NaturalParams, n_data: int) -> SiteFactor:
-    """Tied site lambda = (lambda_q - lambda_0) / N."""
-    if n_data < 1:
-        raise ValueError("n_data must be >= 1")
-    if q_nat.dim != prior_nat.dim:
-        raise ShapeMismatch("q dim %d vs prior dim %d" % (q_nat.dim, prior_nat.dim))
-    return SiteFactor((q_nat.eta1 - prior_nat.eta1) / n_data,
-                      (q_nat.eta2 - prior_nat.eta2) / n_data)
-
-
-def cavity(q_nat: NaturalParams, site: SiteFactor, alpha: float) -> NaturalParams:
-    """Cavity natural parameters lambda_q - alpha * lambda."""
-    eta1 = q_nat.eta1 - alpha * site.eta1
-    eta2 = q_nat.eta2 - alpha * site.eta2
-    if np.any(eta2 >= 0.0):
-        raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
-    return NaturalParams(eta1, eta2)
 
 
 def sample_reparam(q: FactorizedGaussian, eps):
@@ -144,10 +94,3 @@ def sample_reparam(q: FactorizedGaussian, eps):
         raise ShapeMismatch("eps %s vs dim %d" % (eps.shape, q.dim))
     return q.mu + np.exp(0.5 * q.log_var) * eps
 
-
-def log_site(site: SiteFactor, theta):
-    """s(theta)^T lambda, no normalizer; theta may be (dim,) or (K, dim)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != site.eta1.size:
-        raise ShapeMismatch("theta %s vs site dim %d" % (theta.shape, site.eta1.size))
-    return theta @ site.eta1 + (theta * theta) @ site.eta2

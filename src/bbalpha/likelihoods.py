@@ -2,12 +2,14 @@
 
 All log-likelihood code is written against the autodiff primitives, so the
 same function evaluates on plain numpy arrays or differentiably on tape
-variables.  MLP parameter vectors are packed layer-major, weights before
+variables.  Every model has one batched interface over a (K, P) matrix of
+parameter samples: batch_forward(Theta, X) and batch_log_lik(Theta, X, y).
+MLP parameter vectors are packed layer-major, weights before
 biases: (W1, b1, W2, b2, ...) with each weight matrix flattened row-major.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -93,10 +95,6 @@ class ProbitRegression:
 
     def __init__(self, n_features):
         self.theta_dim = n_features
-        self.hyper_dim = 0
-
-    def log_lik(self, theta, x, y, hyper=None):
-        return ad.log_norm_cdf(float(y) * ad.dot(theta, np.asarray(x, float)))
 
     def batch_forward(self, Theta, X):
         """Latent values theta^T x; (K, P) x (B, P) -> (K, B)."""
@@ -117,11 +115,6 @@ class LinearRegression:
             raise NonPositiveNoise("sigma2 = %g" % sigma2)
         self.theta_dim = n_features
         self.sigma2 = float(sigma2)
-        self.hyper_dim = 0
-
-    def log_lik(self, theta, x, y, hyper=None):
-        resid = float(y) - ad.dot(theta, np.asarray(x, float))
-        return -0.5 * np.log(2 * np.pi * self.sigma2) - resid * resid / (2 * self.sigma2)
 
     def batch_forward(self, Theta, X):
         """Regression means theta^T x; (K, P) x (B, P) -> (K, B)."""
@@ -147,33 +140,11 @@ class MLPRegression:
         self.theta_dim = n_hidden * n_features + n_hidden + n_hidden + 1
         self.log_sigma2 = float(log_sigma2)
         self.learn_noise = learn_noise
-        self.hyper_dim = 1 if learn_noise else 0
-
-    def unpack(self, theta):
-        h, d = self.n_hidden, self.d_in
-        W1 = ad.reshape(theta[0:h * d], (h, d))
-        b1 = theta[h * d:h * d + h]
-        w2 = theta[h * d + h:h * d + 2 * h]
-        b2 = theta[h * d + 2 * h:h * d + 2 * h + 1]
-        return W1, b1, w2, b2
-
-    def forward(self, theta, X):
-        """Network outputs for all rows of X; returns (B,)."""
-        W1, b1, w2, b2 = self.unpack(theta)
-        X = np.atleast_2d(np.asarray(X, float))
-        H = ad.relu(ad.dot(W1, X.T) + ad.reshape(b1, (self.n_hidden, 1)))
-        return ad.dot(w2, H) + b2[0]
 
     def _log_sigma2(self, hyper):
         if hyper is None:
             return self.log_sigma2
         return hyper if np.ndim(ad._val(hyper)) == 0 else hyper[0]
-
-    def log_lik(self, theta, x, y, hyper=None):
-        out = self.forward(theta, np.atleast_2d(np.asarray(x, float)))[0]
-        ls2 = self._log_sigma2(hyper)
-        resid = float(y) - out
-        return -0.5 * _LOG_2PI - 0.5 * ls2 - resid * resid / (2.0 * ad.exp(ls2))
 
     def batch_forward(self, Theta, X):
         """Network outputs for each sample row of Theta; returns (K, B)."""
@@ -208,39 +179,8 @@ class MLPClassification:
         self.theta_dim = (n_hidden1 * n_features + n_hidden1
                           + n_hidden2 * n_hidden1 + n_hidden2
                           + n_classes * n_hidden2 + n_classes)
-        self.hyper_dim = 0
         self.layer_dims = [(n_hidden1, n_features), (n_hidden2, n_hidden1),
                            (n_classes, n_hidden2)]
-
-    def unpack(self, theta):
-        params = []
-        off = 0
-        for (nout, nin) in self.layer_dims:
-            W = ad.reshape(theta[off:off + nout * nin], (nout, nin))
-            off += nout * nin
-            b = theta[off:off + nout]
-            off += nout
-            params.append((W, b))
-        return params
-
-    def logits(self, theta, X):
-        """Class logits for all rows of X; returns (C, B)."""
-        X = np.atleast_2d(np.asarray(X, float))
-        layers = self.unpack(theta)
-        A = X.T
-        for i, (W, b) in enumerate(layers):
-            A = ad.dot(W, A) + ad.reshape(b, (ad._val(b).size, 1))
-            if i < len(layers) - 1:
-                A = ad.relu(A)
-        return A
-
-    def log_lik(self, theta, x, y, hyper=None):
-        y = int(y)
-        if not 0 <= y < self.n_classes:
-            raise ClassOutOfRange("class %d not in [0, %d)" % (y, self.n_classes))
-        logits = self.logits(theta, np.atleast_2d(np.asarray(x, float)))
-        col = logits[:, 0]
-        return col[y] - ad.logsumexp(col)
 
     def batch_forward(self, Theta, X):
         """Class logits for each sample row of Theta; returns (K, C, B)."""
@@ -316,18 +256,6 @@ def gen_three_class(seed, n=120, d=2, spread=2.5):
         y.append(np.full(per, c))
     return Dataset(np.vstack(X), np.concatenate(y),
                    name="three_class", task="classification")
-
-
-def gen_separable_probit(seed, n=100, d=2, margin=1.0):
-    """Linearly separable two-class data (for zero-error fixtures)."""
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=d)
-    w /= np.linalg.norm(w)
-    X = rng.normal(size=(n, d))
-    z = X @ w
-    X += np.outer(np.sign(z) * margin, w)
-    y = np.sign(X @ w)
-    return Dataset(X, y, name="separable_probit", task="probit")
 
 
 # ---------------------------------------------------------------------------

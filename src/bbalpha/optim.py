@@ -44,8 +44,19 @@ class TrainConfig:
     divergence_factor: float = 10.0
 
     def validate(self, n_data):
-        if self.epochs < 1 or self.k_samples < 1:
-            raise ConfigError("epochs and k_samples must be >= 1")
+        if self.alpha in (0.0, n_data):
+            raise ConfigError("alpha must not be 0 (use 'vb') or the training "
+                              "set size %d, got %r" % (n_data, self.alpha))
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError("unknown optimizer %r" % self.optimizer)
+        if self.energy_mode not in ("mc", "exact"):
+            raise ConfigError("unknown energy_mode %r" % self.energy_mode)
+        if self.energy_mode == "exact" and self.alpha == "vb":
+            raise ConfigError("energy_mode 'exact' needs a numeric alpha")
+        if min(self.epochs, self.k_samples, self.batch_size,
+               self.refresh_every) < 1:
+            raise ConfigError("epochs, k_samples, batch_size and "
+                              "refresh_every must be >= 1")
         if self.batch_size > n_data:
             raise ConfigError("batch_size exceeds dataset size")
         if self.optimizer == "sgd" and (self.sgd_a <= 0 or self.sgd_b <= 0):
@@ -140,10 +151,10 @@ def train(model, data, prior, cfg: TrainConfig):
 
     The epoch loop shuffles indices without replacement; epsilon is
     refreshed every cfg.refresh_every minibatches.  Raises
-    DivergenceDetected when the energy grows more than
-    cfg.divergence_factor-fold over an epoch, and at any step whose energy
-    or gradient is non-finite, or whose cavity is improper, before the
-    optimizer applies it.  The error carries the epoch and the global step;
+    DivergenceDetected when an epoch's mean energy rises above
+    cfg.divergence_factor * max(|epoch-0 energy|, 1), and at any step whose
+    energy or gradient is non-finite, or whose cavity is improper, before
+    the optimizer applies it.  The error carries the epoch and the global step;
     when a tape op produced the non-finite value (NonFiniteIntermediate) it
     also carries the op name.  It chains the original error.
     """
@@ -225,9 +236,11 @@ def train(model, data, prior, cfg: TrainConfig):
         trace.wall_time.append(time.perf_counter() - t0)
         if not np.isfinite(mean_e):
             raise DivergenceDetected("non-finite energy", epoch=epoch)
+        # the floor of 1 keeps a near-zero epoch-0 energy from turning a
+        # rise of a few nats into a divergence
         baseline = trace.energy[0]
-        if (epoch > 0 and abs(mean_e) > cfg.divergence_factor * abs(baseline)
-                and mean_e > baseline):
+        if (epoch > 0 and mean_e > baseline and abs(mean_e)
+                > cfg.divergence_factor * max(abs(baseline), 1.0)):
             raise DivergenceDetected("energy grew more than %gx"
                                      % cfg.divergence_factor, epoch=epoch)
 

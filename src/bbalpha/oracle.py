@@ -37,15 +37,6 @@ class GaussianDist:
         return self.mu.size
 
 
-@dataclass(frozen=True)
-class TiltedMoments:
-    """Mean, covariance and log-normalizer of one tilted distribution."""
-
-    mu_n: np.ndarray
-    cov_n: np.ndarray
-    log_norm: float
-
-
 def _log_partition_hp(h, prec):
     """log int exp(h.theta - theta.P.theta/2) for precision matrix P."""
     sign, logdet = np.linalg.slogdet(prec)

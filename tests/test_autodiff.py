@@ -134,13 +134,12 @@ def test_take_accumulates_duplicate_indices():
     assert np.allclose(grads[0], [2.0, 0.0, 1.0, 0.0])
 
 
-def test_reshape_stack_concat_gradients():
+def test_reshape_gradient():
     rng = np.random.default_rng(6)
 
     def f(a, b):
         m = ad.reshape(a, (2, 3))
-        s = ad.stack([b, b * 2.0])
-        return ad.asum(m) + ad.asum(s) + ad.asum(ad.concat([a, b]))
+        return ad.asum(ad.asum(m * m, axis=0) * b)
 
     rep = ad.check_gradient(f, [rng.normal(size=6), rng.normal(size=3)])
     assert rep.passed, rep

@@ -354,3 +354,24 @@ def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
     path = _write_config(tmp_path / "cfg_workers.yaml", cfg)
     result = runner.invoke(cli.main, ["train", path])
     _assert_one_line_exit(result, code, needle)
+
+
+@pytest.mark.parametrize("train, needle", [
+    ({"alpha": 0}, "alpha must not be 0"),
+    ({"alpha": 54}, "training set size 54"),
+    ({"optimizer": "adma"}, "unknown optimizer 'adma'"),
+    ({"energy_mode": "exactt"}, "unknown energy_mode 'exactt'"),
+    ({"energy_mode": "exact"}, "exact energy requires a conjugate linreg model"),
+    ({"energy_mode": "exact", "alpha": "vb"}, "'exact' needs a numeric alpha"),
+    ({"batch_size": 0}, "batch_size and refresh_every must be >= 1"),
+    ({"refresh_every": 0}, "batch_size and refresh_every must be >= 1"),
+], ids=["alpha_0", "alpha_n", "optimizer", "energy_mode", "exact_probit",
+        "exact_vb", "batch_size_0", "refresh_every_0"])
+def test_bad_train_setting_exits_2(runner, tmp_path, train, needle):
+    path = _tiny_train_config(tmp_path)
+    cfg = yaml.safe_load(open(path, encoding="utf-8"))
+    cfg["train"].update(train)   # 54 of the 60 rows train (fraction 0.9)
+    cfg["experiment"]["n_splits"] = 1
+    path = _write_config(tmp_path / "cfg_bad.yaml", cfg)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, needle)

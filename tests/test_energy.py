@@ -8,7 +8,7 @@ from bbalpha import likelihoods as lk
 from bbalpha import oracle
 from bbalpha.energy import AlphaParam
 from bbalpha.errors import ImproperCavity
-from bbalpha.expfam import FactorizedGaussian
+from bbalpha.expfam import FactorizedGaussian, NaturalParams
 from bbalpha.optim import default_prior
 
 
@@ -130,6 +130,26 @@ def test_lower_bound_certificate_positive():
     with pytest.raises(ValueError):
         en.lower_bound_certificate(q, prior, model, data,
                                    AlphaParam(float(data.n + 1), data.n))
+
+
+def test_certificate_bound_matches_dense_oracle():
+    # G~(N) = E - certificate against -mean_n(log_norm_n - log Z0), where
+    # log_norm_n is the dense-algebra tilted normalizer of prior * p_n^N
+    for seed in range(20):
+        data, model, q, prior = _conjugate_problem(100 + seed)
+        if seed % 2:
+            rng = np.random.default_rng(seed)
+            var = rng.uniform(0.3, 3.0, size=q.dim)
+            prior = NaturalParams(rng.normal(size=q.dim) / var, -0.5 / var)
+        alpha = AlphaParam(0.5, data.n)
+        g = (en.bbalpha_energy_exact(q, prior, model, data, alpha)
+             - en.lower_bound_certificate(q, prior, model, data, alpha))
+        log_norms = [oracle.tilted_moments_linreg(
+            prior.eta1, prior.eta2, x, t, model.sigma2, float(data.n))[2]
+            for x, t in zip(data.features, data.targets)]
+        want = -np.mean(np.array(log_norms)
+                        - oracle._diag_log_partition(prior.eta1, prior.eta2))
+        assert g == pytest.approx(want, rel=1e-10)
 
 
 def test_stationarity_residual_zero_at_fixed_point():

@@ -9,12 +9,14 @@ from bbalpha import likelihoods as lk
 from bbalpha.errors import (ClassOutOfRange, MissingColumn, NonPositiveNoise,
                             ParseError, ShapeMismatch)
 
+import reference_models as ref
+
 
 def _batch_vs_scalar(model, Theta, X, y, **kw):
     batched = np.asarray(ad._val(model.batch_log_lik(Theta, X, y, **kw)))
     for k in range(Theta.shape[0]):
         for b in range(X.shape[0]):
-            one = float(ad._val(model.log_lik(Theta[k], X[b], y[b], **kw)))
+            one = float(ref.log_lik(model, Theta[k], X[b], y[b], **kw))
             assert np.isclose(batched[k, b], one, atol=1e-12), (k, b)
 
 
@@ -29,7 +31,7 @@ def test_probit_log_lik_value():
     model = lk.ProbitRegression(2)
     theta = np.array([1.0, -0.5])
     x = np.array([0.3, 0.8])
-    val = float(ad._val(model.log_lik(theta, x, -1.0)))
+    val = float(ad._val(model.batch_log_lik(theta[None], x[None], [-1.0]))[0, 0])
     assert np.isclose(val, special.log_ndtr(-(theta @ x)))
 
 
@@ -57,9 +59,11 @@ def test_mlp_regression_hyper_overrides_noise():
     model = lk.MLPRegression(2, 3, log_sigma2=0.0)
     theta = rng.normal(size=model.theta_dim)
     x, y = rng.normal(size=2), 0.7
-    base = float(ad._val(model.log_lik(theta, x, y)))
-    other = float(ad._val(model.log_lik(theta, x, y, hyper=1.5)))
+    base = float(ad._val(model.batch_log_lik(theta[None], x[None], [y]))[0, 0])
+    other = float(ad._val(model.batch_log_lik(theta[None], x[None], [y],
+                                              hyper=1.5))[0, 0])
     assert not np.isclose(base, other)
+    assert np.isclose(other, ref.log_lik(model, theta, x, y, hyper=1.5))
 
 
 def test_mlp_classification_batch_matches_scalar():
@@ -74,17 +78,18 @@ def test_mlp_classification_softmax_normalizes():
     model = lk.MLPClassification(2, 4, 3, 3)
     theta = rng.normal(size=model.theta_dim)
     x = rng.normal(size=2)
-    lls = [float(ad._val(model.log_lik(theta, x, c))) for c in range(3)]
+    lls = ad._val(model.batch_log_lik(theta[None], np.tile(x, (3, 1)),
+                                      np.arange(3)))[0]
     assert np.isclose(np.sum(np.exp(lls)), 1.0)
 
 
 def test_mlp_classification_rejects_bad_label():
     model = lk.MLPClassification(2, 3, 3, 3)
     theta = np.zeros(model.theta_dim)
-    with pytest.raises(ClassOutOfRange):
-        model.log_lik(theta, np.zeros(2), 5)
-    with pytest.raises(ClassOutOfRange):
-        model.batch_log_lik(theta[None, :], np.zeros((1, 2)), np.array([-1]))
+    for label in (-1, 3, 5):
+        with pytest.raises(ClassOutOfRange):
+            model.batch_log_lik(theta[None, :], np.zeros((1, 2)),
+                                np.array([label]))
 
 
 def test_make_model_dispatch():

@@ -151,6 +151,32 @@ def test_train_divergence_guard_fires():
     assert e.value.epoch is not None
 
 
+class _DriftModel:
+    """log p = -0.1 nats times the number of earlier calls, whatever theta.
+    With q started at the prior the epoch-0 energy is exactly 0, and each
+    one-step epoch adds N * 0.1 nats to it."""
+
+    kind = "stub"
+    theta_dim = 2
+
+    def __init__(self):
+        self.calls = 0
+
+    def batch_log_lik(self, Theta, X, y, hyper=None):
+        ll = np.full((ad._val(Theta).shape[0], len(y)), -0.1 * self.calls)
+        self.calls += 1
+        return ll
+
+
+def test_divergence_guard_ignores_rise_over_near_zero_baseline():
+    data, _ = _linreg_problem()
+    cfg = TrainConfig(alpha=0.5, k_samples=5, batch_size=16, epochs=4,
+                      init_std=0.0, init_log_var=0.0, seed=0)
+    _, _, trace = train(_DriftModel(), data, default_prior(2), cfg)
+    assert abs(trace.energy[0]) < 1e-12
+    assert 4.0 < trace.energy[-1] < 10.0
+
+
 class _ZeroSqrtModel:
     """log p = sqrt(theta - theta) . x: the value is 0 but the slope is
     infinite, so the first gradient is non-finite while the energy is not."""

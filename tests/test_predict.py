@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bbalpha import autodiff as ad
 from bbalpha import likelihoods as lk
 from bbalpha import predict
 from bbalpha.expfam import FactorizedGaussian
+
+from reference_models import log_lik as ref_log_lik, output as ref_output
 
 
 def test_regression_loglik_collapses_to_point_estimate():
@@ -88,12 +89,6 @@ def _fixture(model, seed):
                                else model.theta_dim))
 
 
-def _regression_output(model, theta, x):
-    if model.kind == "mlp_regression":
-        return float(model.forward(theta, x[None])[0])
-    return float(theta @ x)
-
-
 def _noise_log_var(model):
     if hasattr(model, "log_sigma2"):
         return model.log_sigma2
@@ -111,7 +106,7 @@ def test_batched_loglik_regression_matches_per_row_loop(model):
     got = predict.predict_loglik_regression(q, model, X, y, 30, 4,
                                             y_mean=1.5, y_std=2.5)
     theta = predict._theta_samples(q, 30, 4)
-    ref = [special.logsumexp([float(ad._val(model.log_lik(th, x, (t - 1.5) / 2.5)))
+    ref = [special.logsumexp([ref_log_lik(model, th, x, (t - 1.5) / 2.5)
                               for th in theta]) - np.log(30) - np.log(2.5)
            for x, t in zip(X, y)]
     assert got.shape == (X.shape[0],)
@@ -123,7 +118,7 @@ def test_batched_regression_stats_match_per_row_loop(model):
     q, X = _fixture(model, 12)
     mean, std = predict.predictive_regression_stats(q, model, X, 30, 5)
     theta = predict._theta_samples(q, 30, 5)
-    outs = np.array([[_regression_output(model, th, x) for th in theta]
+    outs = np.array([[np.squeeze(ref_output(model, th, x)) for th in theta]
                      for x in X])
     np.testing.assert_allclose(mean, outs.mean(axis=1), rtol=1e-12, atol=0)
     np.testing.assert_allclose(
@@ -149,7 +144,7 @@ def test_batched_class_matches_per_row_loop():
     theta = predict._theta_samples(q, 30, 7)
     ref = []
     for x in X:
-        logits = [model.logits(th, x[None])[:, 0] for th in theta]
+        logits = [ref_output(model, th, x) for th in theta]
         ref.append(np.mean([np.exp(l - special.logsumexp(l)) for l in logits],
                            axis=0))
     assert probs.shape == (X.shape[0], 3)
