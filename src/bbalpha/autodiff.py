@@ -29,7 +29,7 @@ class Tape:
 class Var:
     """A node on the tape: a numpy value plus vector-Jacobian closures."""
 
-    __slots__ = ("value", "tape", "parents", "grad", "op_name")
+    __slots__ = ("value", "tape", "parents", "grad", "op_name", "__weakref__")
 
     # make numpy defer to the reflected operators instead of building
     # object arrays of Vars
@@ -85,17 +85,6 @@ def _val(x):
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=float)
 
 
-def _is_var(*xs):
-    return any(isinstance(x, Var) for x in xs)
-
-
-def _tape_of(*xs):
-    for x in xs:
-        if isinstance(x, Var):
-            return x.tape
-    raise ValueError("no Var operand")
-
-
 def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` to undo numpy broadcasting."""
     g = np.asarray(g)
@@ -110,8 +99,7 @@ def _unbroadcast(g, shape):
 def _binary(name, fwd, vjp_a, vjp_b):
     # the VJPs bind their operands as default arguments, not closure cells:
     # each cell is one more GC-tracked object, and more of them per node
-    # make the cyclic collector run more often and promote live tapes to
-    # older generations, where dead tapes then linger
+    # make the cyclic collector run more often while a tape is recorded
     def op(a, b):
         a_var, b_var = isinstance(a, Var), isinstance(b, Var)
         av = a.value if a_var else np.asarray(a, dtype=float)
@@ -145,60 +133,57 @@ div = _binary("div", lambda a, b: a / b,
               lambda g, a, b: -g * a / (b * b))
 
 
+def node(value, op_name, *parents):
+    """A node with hand-written VJPs.
+
+    `parents` are (operand, vjp) pairs; operands that are not Vars get no
+    gradient, and without any Var operand the plain value is returned.
+    """
+    parents = tuple(p for p in parents if isinstance(p[0], Var))
+    if not parents:
+        return value
+    return Var(value, parents[0][0].tape, parents, op_name)
+
+
 def power(a, p):
     """a ** p with a constant exponent p."""
-    if not isinstance(a, Var):
-        return _val(a) ** p
-    av = a.value
-    out = av ** p
-    return Var(out, a.tape, ((a, lambda g: g * p * av ** (p - 1)),), "pow")
+    av = _val(a)
+    return node(av ** p, "pow", (a, lambda g: g * p * av ** (p - 1)))
 
 
 def exp(a):
-    if not isinstance(a, Var):
-        return np.exp(_val(a))
-    out = np.exp(a.value)
-    return Var(out, a.tape, ((a, lambda g: g * out),), "exp")
+    out = np.exp(_val(a))
+    return node(out, "exp", (a, lambda g: g * out))
 
 
 def log(a):
-    if not isinstance(a, Var):
-        return np.log(_val(a))
-    av = a.value
+    av = _val(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(av)
-    return Var(out, a.tape, ((a, lambda g: g / av),), "log")
+    return node(out, "log", (a, lambda g: g / av))
 
 
 def sqrt(a):
-    if not isinstance(a, Var):
-        return np.sqrt(_val(a))
-    out = np.sqrt(a.value)
-    return Var(out, a.tape, ((a, lambda g: g * 0.5 / out),), "sqrt")
+    out = np.sqrt(_val(a))
+    return node(out, "sqrt", (a, lambda g: g * 0.5 / out))
 
 
 def relu(a):
     """max(a, 0); subgradient at 0 defined as 0."""
-    if not isinstance(a, Var):
-        return np.maximum(_val(a), 0.0)
-    av = a.value
-    mask = av > 0.0
-    return Var(np.maximum(av, 0.0), a.tape, ((a, lambda g: g * mask),), "relu")
+    av = _val(a)
+    return node(np.maximum(av, 0.0), "relu", (a, lambda g: g * (av > 0.0)))
 
 
 def asum(a, axis=None):
     """Sum of elements, optionally along one axis."""
-    if not isinstance(a, Var):
-        return np.sum(_val(a), axis=axis)
-    av = a.value
-    out = np.sum(av, axis=axis)
+    av = _val(a)
 
     def vjp(g):
         if axis is None:
             return np.broadcast_to(g, av.shape)
         return np.broadcast_to(np.expand_dims(g, axis), av.shape)
 
-    return Var(out, a.tape, ((a, vjp),), "sum")
+    return node(np.sum(av, axis=axis), "sum", (a, vjp))
 
 
 def _logsumexp_keepdims(a, axis):
@@ -208,23 +193,21 @@ def _logsumexp_keepdims(a, axis):
     Bit-identical to scipy, without its array-API dispatch."""
     if a.ndim == 0:
         return _logsumexp_keepdims(a.reshape(1), axis).reshape(())
-    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = a.max(axis=axis, keepdims=True)
     tied = a == a_max
-    m = np.sum(tied, axis=axis, keepdims=True, dtype=float)
+    m = tied.sum(axis=axis, keepdims=True, dtype=float)
     # in a slice of -inf entries, -inf - -inf is NaN; every such entry is a
     # tied maximum and is zeroed below, so the slice gives -inf as in scipy
     with np.errstate(invalid="ignore"):
         e = np.exp(a - a_max)
     e[tied] = 0.0
-    s = np.sum(e, axis=axis, keepdims=True)
+    s = e.sum(axis=axis, keepdims=True)
     return np.log1p(s / m) + np.log(m) + a_max
 
 
 def logsumexp(a, axis=None):
     """Max-shifted log-sum-exp over one axis or over all elements."""
-    if not isinstance(a, Var):
-        return np.squeeze(_logsumexp_keepdims(_val(a), axis), axis=axis)
-    av = a.value
+    av = _val(a)
     out_kd = _logsumexp_keepdims(av, axis)
 
     def vjp(g):
@@ -233,7 +216,7 @@ def logsumexp(a, axis=None):
             return g * soft
         return np.expand_dims(g, axis) * soft
 
-    return Var(np.squeeze(out_kd, axis=axis), a.tape, ((a, vjp),), "logsumexp")
+    return node(np.squeeze(out_kd, axis=axis), "logsumexp", (a, vjp))
 
 
 def log_norm_cdf(z):
@@ -244,60 +227,46 @@ def log_norm_cdf(z):
     keeps it accurate and finite for large negative z (where it tends to
     -z - 1/z) and makes it exactly 0 for large positive z.
     """
+    zv = _val(z)
     if not isinstance(z, Var):
-        return special.log_ndtr(_val(z))
-    zv = z.value
-    out = special.log_ndtr(zv)
+        return special.log_ndtr(zv)
     ratio = _SQRT_2_OVER_PI / special.erfcx(-zv / _SQRT2)
-    return Var(out, z.tape, ((z, lambda g: g * ratio),), "log_norm_cdf")
+    return node(special.log_ndtr(zv), "log_norm_cdf", (z, lambda g: g * ratio))
 
 
 def dot(a, b):
     """Inner / matrix product: supports 1d.1d, 2d@1d, 1d@2d and 2d@2d."""
-    if not _is_var(a, b):
-        return _val(a) @ _val(b)
-    tape = _tape_of(a, b)
     av, bv = _val(a), _val(b)
-    out = av @ bv
-    parents = []
-    if isinstance(a, Var):
-        def vjp_a(g, av=av, bv=bv):
-            if av.ndim == 1 and bv.ndim == 1:
-                return g * bv
-            if av.ndim == 2 and bv.ndim == 1:
-                return np.outer(g, bv)
-            if av.ndim == 1 and bv.ndim == 2:
-                return bv @ g
-            return g @ bv.T
-        parents.append((a, vjp_a))
-    if isinstance(b, Var):
-        def vjp_b(g, av=av, bv=bv):
-            if av.ndim == 1 and bv.ndim == 1:
-                return g * av
-            if av.ndim == 2 and bv.ndim == 1:
-                return av.T @ g
-            if av.ndim == 1 and bv.ndim == 2:
-                return np.outer(av, g)
+
+    def vjp_a(g):
+        if av.ndim == 1 and bv.ndim == 1:
+            return g * bv
+        if av.ndim == 2 and bv.ndim == 1:
+            return np.outer(g, bv)
+        if av.ndim == 1 and bv.ndim == 2:
+            return bv @ g
+        return g @ bv.T
+
+    def vjp_b(g):
+        if av.ndim == 1 and bv.ndim == 1:
+            return g * av
+        if av.ndim == 2 and bv.ndim == 1:
             return av.T @ g
-        parents.append((b, vjp_b))
-    return Var(out, tape, tuple(parents), "dot")
+        if av.ndim == 1 and bv.ndim == 2:
+            return np.outer(av, g)
+        return av.T @ g
+
+    return node(av @ bv, "dot", (a, vjp_a), (b, vjp_b))
 
 
 def bmm(a, b):
     """Batched matrix product via numpy matmul broadcasting rules."""
-    if not _is_var(a, b):
-        return np.matmul(_val(a), _val(b))
-    tape = _tape_of(a, b)
     av, bv = _val(a), _val(b)
-    out = np.matmul(av, bv)
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g, av=av, bv=bv: _unbroadcast(
-            np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g, av=av, bv=bv: _unbroadcast(
-            np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)))
-    return Var(out, tape, tuple(parents), "bmm")
+    return node(np.matmul(av, bv), "bmm",
+                (a, lambda g: _unbroadcast(
+                    np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)),
+                (b, lambda g: _unbroadcast(
+                    np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)))
 
 
 def _is_basic_index(idx):
@@ -311,29 +280,24 @@ def _is_basic_index(idx):
 
 def take(a, idx):
     """Basic/fancy indexing into a Var."""
-    if not isinstance(a, Var):
-        return _val(a)[idx]
-    av = a.value
-    basic = _is_basic_index(idx)
+    av = _val(a)
 
     def vjp(g):
         out = np.zeros_like(av)
-        if basic:
+        if _is_basic_index(idx):
             out[idx] = g
         else:
             # fancy indices may repeat; accumulate every occurrence
             np.add.at(out, idx, g)
         return out
 
-    return Var(av[idx], a.tape, ((a, vjp),), "take")
+    return node(av[idx], "take", (a, vjp))
 
 
 def reshape(a, shape):
-    if not isinstance(a, Var):
-        return _val(a).reshape(shape)
-    av = a.value
-    return Var(av.reshape(shape), a.tape,
-               ((a, lambda g: np.asarray(g).reshape(av.shape)),), "reshape")
+    av = _val(a)
+    return node(av.reshape(shape), "reshape",
+                (a, lambda g: np.asarray(g).reshape(av.shape)))
 
 
 def _backward(out):
@@ -367,17 +331,15 @@ def value_and_grad(f, at):
         # expression did not touch any slot; gradient is zero
         return float(np.asarray(out)), [np.zeros_like(l.value) for l in leaves]
     _backward(out)
+    # without its node list the finished tape is no reference cycle, so it
+    # is freed as soon as the caller drops the output, not at the next GC
+    tape.nodes.clear()
     # a VJP may hand back node.grad itself or a read-only broadcast view;
     # adding +0.0 gives a fresh array, and turns a -0.0 first gradient into
     # the +0.0 an accumulation starting from zeros would give
     grads = [l.grad + 0.0 if l.grad is not None else np.zeros_like(l.value)
              for l in leaves]
     return float(out.value), grads
-
-
-def gradient(f, at):
-    """Gradient of scalar expression f at the given slot values."""
-    return value_and_grad(f, at)[1]
 
 
 class GradCheckReport:

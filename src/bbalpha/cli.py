@@ -104,27 +104,40 @@ def _build_model(mcfg, n_features):
     return lk.make_model(_required("model", mcfg, "kind"), n_features, **kw)
 
 
+def _train_value(key, value, kind):
+    """A `train:` value as its TrainConfig field type.  Numbers, and strings
+    such as YAML's unquoted 1e-3, widen to float; alpha is a float or 'vb'."""
+    if key == "alpha" and value == "vb":
+        return value
+    if kind in (float, object):
+        if not isinstance(value, bool):
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError("train %s must be %s, not %r" % (
+        key, "a number or 'vb'" if kind is object else kind.__name__, value))
+
+
 def _train_config(tcfg):
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(str(k) for k in tcfg if k not in known)
+    tcfg = {} if tcfg is None else tcfg
+    if not isinstance(tcfg, dict):
+        raise ConfigError("train section must be a mapping, not %s"
+                          % type(tcfg).__name__)
+    kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    unknown = sorted(str(k) for k in tcfg if k not in kinds)
     if unknown:
         raise ConfigError("unknown train key(s): %s" % ", ".join(unknown))
-    fields = dict(tcfg)
-    if fields.get("alpha", "vb") != "vb":
-        try:
-            fields["alpha"] = float(fields["alpha"])
-        except (TypeError, ValueError):
-            raise ConfigError("train alpha must be a number or 'vb', not %r"
-                              % fields["alpha"]) from None
-    return TrainConfig(**fields)
+    return TrainConfig(**{k: _train_value(k, v, kinds[k])
+                          for k, v in tcfg.items()})
 
 
 def _run_split(args):
     (split_idx, cfg, seed) = args
     dataset = _build_dataset(cfg["dataset"])
     mcfg = cfg["model"]
-    tcfg = dict(cfg.get("train", {}))
-    tcfg["seed"] = seed
     ex = cfg.get("experiment", {})
     frac = float(ex.get("train_fraction", 0.9))
     metrics_k = int(ex.get("metrics_k", 100))
@@ -136,7 +149,7 @@ def _run_split(args):
     tr, te = lk.standardize_train_test(tr, te)
 
     model = _build_model(mcfg, tr.d)
-    tconf = _train_config(tcfg)
+    tconf = _train_config(cfg.get("train"))
     tconf.seed = int(np.random.default_rng([seed, split_idx, 7]).integers(2 ** 31))
     q, hypers, trace = train(model, tr, default_prior(model.theta_dim), tconf)
 
@@ -259,8 +272,7 @@ def bias_cmd(config_path, out):
     try:
         dataset = _build_dataset(cfg["dataset"])
         model = _build_model(cfg["model"], dataset.d)
-        tcfg = dict(cfg.get("train", {}))
-        tconf = _train_config(tcfg)
+        tconf = _train_config(cfg.get("train"))
         q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
         b = cfg.get("bias", {})
         report = gradient_bias_study(

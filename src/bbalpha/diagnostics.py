@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import AlphaParam, bbalpha_energy_mc, vb_energy_mc
+from .energy import AlphaParam, bbalpha_energy_mc
 
 
 @dataclass
@@ -45,15 +45,6 @@ class BiasReport:
                          % (r.alpha, r.k, r.bias_raw, r.bias_net, r.grad_std))
 
 
-def _grad(model, data, q, prior, batch, alpha, eps, hyper=None):
-    if alpha == "vb":
-        est = vb_energy_mc(q, prior, model, data, batch, eps, hyper=hyper)
-    else:
-        est = bbalpha_energy_mc(q, prior, model, data, batch,
-                                AlphaParam(alpha, data.n), eps, hyper=hyper)
-    return est.grad
-
-
 def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
                         n_repeats=1000, k_truth=10000, batch_size=32, seed=0,
                         hyper=None) -> BiasReport:
@@ -68,7 +59,9 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
     batches = [rng.choice(n, size=min(batch_size, n), replace=False)
                for _ in range(n_minibatches)]
     dim = 2 * model.theta_dim  # gradient over (mu, log_var)
-    columns = list(alphas) + ["vb"]
+    # column label -> the estimator's alpha; None is the VB energy
+    columns = {a: AlphaParam(a, n) for a in alphas}
+    columns["vb"] = None
 
     # epsilon streams shared across columns: one per (minibatch, purpose)
     eps_truth = []
@@ -84,14 +77,16 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
     spread = {(a, k): [] for a in columns for k in ks}
     root_dim = np.sqrt(dim)
     for b, batch in enumerate(batches):
-        for a in columns:
-            g_ref = _grad(model, data, q, prior, batch, a, eps_truth[b],
-                          hyper)[:dim]
+        for a, alpha in columns.items():
+            def grad(eps):
+                return bbalpha_energy_mc(q, prior, model, data, batch, alpha,
+                                         eps, hyper=hyper).grad[:dim]
+
+            g_ref = grad(eps_truth[b])
             for ki, k in enumerate(ks):
                 grads = np.empty((n_repeats, dim))
                 for r in range(n_repeats):
-                    grads[r] = _grad(model, data, q, prior, batch, a,
-                                     eps_reps[b][ki][r], hyper)[:dim]
+                    grads[r] = grad(eps_reps[b][ki][r])
                 g_bar = grads.mean(axis=0)
                 bias[(a, k)].append(np.linalg.norm(g_bar - g_ref) / root_dim)
                 spread[(a, k)].append(np.sqrt(np.mean(grads.var(axis=0))))

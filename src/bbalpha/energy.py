@@ -1,11 +1,14 @@
 """Tied-site power-EP energies.
 
 Monte-Carlo reparameterized estimator of the alpha energy with minibatch
-scaling, its variational (alpha -> 0) counterpart, the closed-form energy
-for conjugate linear regression, the lower-bound certificate and the
-moment-matching stationarity residual.
+scaling, whose alpha=None case is the variational free energy (the
+alpha -> 0 limit), the closed-form energy for conjugate linear regression,
+the lower-bound certificate and the moment-matching stationarity residual.
 
-The central numerical decision: log E_q[(p/f)^alpha] is always computed as
+On the tape the MC estimator is three parts: a `reparam` node for the K
+samples, the model's log-likelihood, and one `alpha_energy` node that holds
+the diagonal-Gaussian arithmetic and its closed-form gradient.  The central
+numerical decision: log E_q[(p/f)^alpha] is always computed as
 logsumexp(alpha * delta_k) - log K with a max shift, never by exponentiating
 alpha * delta directly.
 """
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ImproperCavity, ImproperTilted
+from .errors import (ConfigError, ImproperCavity, ImproperTilted,
+                     NonFiniteIntermediate)
 from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -47,8 +51,9 @@ class EnergyEstimate:
 
 
 def _prior_mv(prior: NaturalParams):
-    mv = nat_to_meanvar(prior)
-    return mv.mu, np.log(mv.var)
+    # nat_to_meanvar's formula, without validating what NaturalParams did
+    var = -0.5 / prior.eta2
+    return prior.eta1 * var, np.log(var)
 
 
 def _nat_from_mu_logvar(mu, log_var):
@@ -60,36 +65,71 @@ def _log_partition_expr(mu, log_var):
     return ad.asum(0.5 * mu * mu * ad.exp(-log_var) + 0.5 * (_LOG_2PI + log_var))
 
 
-def _check_cavity(log_var, p_log_var, n_data, alpha):
-    """Numeric properness check of lambda_q - alpha * lambda."""
-    e2q = -0.5 * np.exp(-log_var)
-    e20 = -0.5 * np.exp(-p_log_var)
-    cav2 = e2q - alpha * (e2q - e20) / n_data
-    if np.any(cav2 >= 0.0):
+def _reparam(mu, log_var, eps):
+    """theta = mu + exp(log_var / 2) * eps as one (K, dim) node."""
+    sd = np.exp(0.5 * ad._val(log_var))
+    return ad.node(ad._val(mu) + sd * eps, "reparam",
+                   (mu, lambda g: g.sum(axis=0)),
+                   (log_var, lambda g: np.sum(g * eps, axis=0) * sd * 0.5))
+
+
+def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha):
+    """Everything of the energy but the model's log-likelihood, one node.
+
+    With l1, l2 the tied site's natural parameters and
+    delta_kb = loglik_kb - (theta_k . l1 + theta_k^2 . l2), the value is
+    logZ0 - logZq - N / (alpha B) sum_b [logsumexp_k(alpha delta_kb) - log K].
+    The VJP uses the tilted weights w = softmax_k(alpha delta):
+    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb feeds theta_k and,
+    through sum_k c_k theta_k and sum_k c_k theta_k^2, the Gaussian slots.
+    alpha=None is the VB energy, the same node with w = 1/K.  An improper
+    cavity lambda_q - alpha * lambda raises ImproperCavity.
+    """
+    m, lv, pm, plv, th, ll = (ad._val(v) for v in
+                              (mu, log_var, p_mu, p_log_var, theta, loglik))
+    K, B = ll.shape
+    ivq, iv0 = np.exp(-lv), np.exp(-plv)
+    l1 = (m * ivq - pm * iv0) / n_data
+    l2 = 0.5 * (iv0 - ivq) / n_data
+    if alpha is not None and (-0.5 * ivq - alpha * l2 >= 0.0).any():
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
+    delta = ll - (th @ l1 + (th * th) @ l2)[:, None]
+    logZ_diff = ((0.5 * pm * pm * iv0 + 0.5 * (_LOG_2PI + plv)).sum()
+                 - (0.5 * m * m * ivq + 0.5 * (_LOG_2PI + lv)).sum())
+    if alpha is None:
+        w = np.full((K, B), 1.0 / K)
+        value = logZ_diff - (n_data / B) * (delta.sum() / K)
+    else:
+        lse = ad._logsumexp_keepdims(alpha * delta, 0)
+        w = np.exp(alpha * delta - lse)
+        value = logZ_diff - (n_data / (alpha * B)) * (lse - np.log(K)).sum()
+
+    c = (n_data / B) * w.sum(axis=1)                  # (K,)
+    u1 = (c @ th) / n_data                            # dE/d eta1q = -dE/d eta1_0
+    u2 = (c @ (th * th)) / n_data                     # dE/d eta2q = -dE/d eta2_0
+    grads = [(mu, (u1 - m) * ivq),
+             (log_var, (0.5 * m * m - u1 * m + 0.5 * u2) * ivq - 0.5),
+             (theta, c[:, None] * (l1 + 2.0 * th * l2)),
+             (loglik, -(n_data / B) * w)]
+    if isinstance(p_mu, ad.Var):                      # learned prior slots
+        grads += [(p_mu, (pm - u1) * iv0),
+                  (p_log_var, 0.5 - (0.5 * pm * pm - u1 * pm + 0.5 * u2) * iv0)]
+    # a non-finite l1, l2 or delta shows in the value or in these
+    for _, gr in grads:
+        if not np.isfinite(gr).all():
+            raise NonFiniteIntermediate("alpha_energy")
+    return ad.node(value, "alpha_energy",
+                   *[(v, lambda g, gr=gr: g * gr) for v, gr in grads])
 
 
 def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
-             hyper=None, vb=False):
-    """Shared MC energy expression; alpha is ignored when vb=True."""
-    K, B = eps.shape[0], X.shape[0]
-    eta1q, eta2q = _nat_from_mu_logvar(mu, log_var)
-    eta1_0, eta2_0 = _nat_from_mu_logvar(p_mu, p_log_var)
-    logZq = _log_partition_expr(mu, log_var)
-    logZ0 = _log_partition_expr(p_mu, p_log_var)
-    l1 = (eta1q - eta1_0) / n_data
-    l2 = (eta2q - eta2_0) / n_data
-
-    theta = mu + ad.exp(0.5 * log_var) * eps          # (K, dim)
-    logf = ad.dot(theta, l1) + ad.dot(theta * theta, l2)   # (K,)
-    loglik = model.batch_log_lik(theta, X, y, hyper=hyper)  # (K, B)
-    delta = loglik - ad.reshape(logf, (K, 1))
-
-    if vb:
-        like = ad.asum(delta) / K
-        return logZ0 - logZq - (n_data / B) * like
-    lse = ad.logsumexp(alpha * delta, axis=0) - np.log(K)   # (B,)
-    return logZ0 - logZq - (n_data / (alpha * B)) * ad.asum(lse)
+             hyper=None):
+    """MC energy: the model's nodes between two hand-differentiated ones;
+    alpha=None gives the VB energy."""
+    theta = _reparam(mu, log_var, eps)
+    loglik = model.batch_log_lik(theta, X, y, hyper=hyper)
+    return _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data,
+                         alpha)
 
 
 def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
@@ -116,19 +156,20 @@ def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
 
 
 def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
-                      batch, alpha: AlphaParam, eps, hyper=None,
-                      learn_noise=False, learn_prior=False) -> EnergyEstimate:
+                      batch, alpha, eps, hyper=None, learn_noise=False,
+                      learn_prior=False) -> EnergyEstimate:
     """Reparameterized minibatch estimator of the tied-site alpha energy.
 
-    `eps` is a (K, dim) matrix of standard-normal draws supplied by the
-    caller, which controls the refresh schedule.  The gradient covers
-    (mu, log_var) plus, when enabled, log sigma2 and the prior slots.
+    `alpha` is an AlphaParam, or None for the variational free energy (the
+    alpha -> 0 limit, recorded as alpha 0.0).  `eps` is a (K, dim) matrix of
+    standard-normal draws supplied by the caller, which controls the refresh
+    schedule.  The gradient covers (mu, log_var) plus, when enabled,
+    log sigma2 and the prior slots.
     """
     batch = np.asarray(batch, dtype=int)
     if batch.size == 0:
         raise ValueError("empty minibatch")
-    a, N = alpha.alpha, alpha.n_data
-    _check_cavity(q.log_var, _prior_mv(prior)[1], N, a)
+    a, N = (None, data.n) if alpha is None else (alpha.alpha, alpha.n_data)
     X, y = data.features[batch], data.targets[batch]
     slots, unpack = _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior)
 
@@ -138,27 +179,15 @@ def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
 
     value, grads = ad.value_and_grad(f, slots)
     return EnergyEstimate(value, np.concatenate([np.ravel(g) for g in grads]),
-                          a, eps.shape[0], batch)
+                          a or 0.0, eps.shape[0], batch)
 
 
 def vb_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
                  batch, eps, hyper=None, learn_noise=False,
                  learn_prior=False) -> EnergyEstimate:
-    """Monte-Carlo variational free energy, the alpha -> 0 limit."""
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty minibatch")
-    X, y = data.features[batch], data.targets[batch]
-    slots, unpack = _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior)
-
-    def f(*vs):
-        mu, log_var, h, pm, plv = unpack(vs)
-        return _mc_expr(mu, log_var, pm, plv, model, X, y, data.n, None, eps,
-                        hyper=h, vb=True)
-
-    value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate([np.ravel(g) for g in grads]),
-                          0.0, eps.shape[0], batch)
+    """Monte-Carlo variational free energy: bbalpha_energy_mc at alpha=None."""
+    return bbalpha_energy_mc(q, prior, model, data, batch, None, eps, hyper,
+                             learn_noise, learn_prior)
 
 
 # ---------------------------------------------------------------------------

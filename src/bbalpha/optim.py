@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (AlphaParam, bbalpha_energy_exact_grad, bbalpha_energy_mc,
-                     vb_energy_mc)
+from .energy import AlphaParam, bbalpha_energy_exact_grad, bbalpha_energy_mc
 from .errors import (ConfigError, DivergenceDetected, ImproperCavity,
                      NonFiniteIntermediate)
 from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
@@ -201,10 +200,6 @@ def train(model, data, prior, cfg: TrainConfig):
                 if cfg.energy_mode == "exact":
                     est = bbalpha_energy_exact_grad(q, prior_now, model, data,
                                                     alpha, learn_prior=cfg.learn_prior)
-                elif alpha is None:
-                    est = vb_energy_mc(q, prior_now, model, data, batch, eps,
-                                       hyper=hyper, learn_noise=cfg.learn_noise,
-                                       learn_prior=cfg.learn_prior)
                 else:
                     est = bbalpha_energy_mc(q, prior_now, model, data, batch,
                                             alpha, eps, hyper=hyper,

@@ -259,7 +259,7 @@ def test_criterion_gradient_correctness():
               [mu0, lv0])
         # VB energy path
         check(lambda mu, lv: en._mc_expr(mu, lv, pm, plv, model, X, y, n, None,
-                                         eps, vb=True), [mu0, lv0])
+                                         eps), [mu0, lv0])
         # exact conjugate energy
         check(lambda mu, lv: en._exact_expr(mu, lv, pm, plv, X, y,
                                             model.sigma2, a, n), [mu0, lv0])

@@ -202,7 +202,7 @@ def test_forward_overflow_run_exits_3(runner, tmp_path):
     path = _write_config(tmp_path / "cfg_div.yaml", cfg)
     result = runner.invoke(cli.main, ["train", path])
     assert result.exit_code == 3
-    assert "op 'mul'" in result.stderr
+    assert "op 'log_norm_cdf'" in result.stderr
 
 
 def test_bias_command(runner, tmp_path):
@@ -365,12 +365,20 @@ def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
     ({"energy_mode": "exact", "alpha": "vb"}, "'exact' needs a numeric alpha"),
     ({"batch_size": 0}, "batch_size and refresh_every must be >= 1"),
     ({"refresh_every": 0}, "batch_size and refresh_every must be >= 1"),
+    ({"learning_rate": "abc"}, "train learning_rate must be float, not 'abc'"),
+    ({"epochs": "2"}, "train epochs must be int, not '2'"),
+    ({"k_samples": 2.5}, "train k_samples must be int, not 2.5"),
+    (["alpha", 0.5], "train section must be a mapping, not list"),
 ], ids=["alpha_0", "alpha_n", "optimizer", "energy_mode", "exact_probit",
-        "exact_vb", "batch_size_0", "refresh_every_0"])
+        "exact_vb", "batch_size_0", "refresh_every_0", "learning_rate_str",
+        "epochs_str", "k_samples_float", "train_not_mapping"])
 def test_bad_train_setting_exits_2(runner, tmp_path, train, needle):
     path = _tiny_train_config(tmp_path)
     cfg = yaml.safe_load(open(path, encoding="utf-8"))
-    cfg["train"].update(train)   # 54 of the 60 rows train (fraction 0.9)
+    if isinstance(train, dict):
+        cfg["train"].update(train)   # 54 of the 60 rows train (fraction 0.9)
+    else:
+        cfg["train"] = train
     cfg["experiment"]["n_splits"] = 1
     path = _write_config(tmp_path / "cfg_bad.yaml", cfg)
     result = runner.invoke(cli.main, ["train", path])
