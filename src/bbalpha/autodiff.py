@@ -368,8 +368,10 @@ def check_gradient(f, at, step=1e-4, tol=1e-5, abs_floor=1e-8):
 
     def eval_at(slots):
         tape = Tape()
-        out = f(*[Var(s, tape) for s in slots])
-        return float(_val(out))
+        out = float(_val(f(*[Var(s, tape) for s in slots])))
+        # as in value_and_grad: freed by reference counting, not the GC
+        tape.nodes.clear()
+        return out
 
     max_rel = 0.0
     worst = (0, None)

@@ -6,6 +6,8 @@ variables.  Every model has one batched interface over a (K, P) matrix of
 parameter samples: batch_forward(Theta, X) and batch_log_lik(Theta, X, y).
 MLP parameter vectors are packed layer-major, weights before
 biases: (W1, b1, W2, b2, ...) with each weight matrix flattened row-major.
+Both MLPs run their network as one `mlp` node, which in the MC energy sits
+between the `reparam` and `alpha_energy` nodes.
 """
 
 import csv
@@ -125,6 +127,47 @@ class LinearRegression:
         return -0.5 * np.log(2 * np.pi * self.sigma2) - resid * resid / (2 * self.sigma2)
 
 
+def mlp(Theta, X, layer_dims):
+    """Rectifier network over the K parameter rows of Theta, one node.
+
+    (K, P) Theta and (B, d) X give the last layer's (K, n_out, B) outputs;
+    every other layer is followed by max(., 0).  `layer_dims` lists
+    (n_out, n_in) per layer; W and b are views of Theta.  The VJP walks the
+    layers backwards: dW = G A_prev^T, db = sum_b G, G * (Z > 0) through a
+    rectifier (0 at a kink, as `relu` gives) and W^T G down a layer.  A
+    plain-array Theta gives a plain array.
+    """
+    Tv = ad._val(Theta)
+    K = Tv.shape[0]
+    A = np.atleast_2d(np.asarray(X, float)).T
+    layers, off = [], 0
+    for i, (nout, nin) in enumerate(layer_dims):
+        w_sl = slice(off, off + nout * nin)
+        b_sl = slice(w_sl.stop, w_sl.stop + nout)
+        off = b_sl.stop
+        W = Tv[:, w_sl].reshape(K, nout, nin)
+        Z = np.matmul(W, A) + Tv[:, b_sl].reshape(K, nout, 1)
+        layers.append((W, w_sl, b_sl, A, Z))
+        A = np.maximum(Z, 0.0) if i < len(layer_dims) - 1 else Z
+    if off != Tv.shape[1]:
+        raise ShapeMismatch("layers pack %d parameters, Theta has %d"
+                            % (off, Tv.shape[1]))
+
+    def vjp(G):
+        dT = np.empty_like(Tv)
+        for i in range(len(layers) - 1, -1, -1):
+            W, w_sl, b_sl, A_prev, Z = layers[i]
+            if i < len(layers) - 1:
+                G = G * (Z > 0.0)
+            dT[:, w_sl] = np.matmul(G, np.swapaxes(A_prev, -1, -2)).reshape(K, -1)
+            dT[:, b_sl] = G.sum(axis=2)
+            if i:
+                G = np.matmul(np.swapaxes(W, -1, -2), G)
+        return dT
+
+    return ad.node(A, "mlp", (Theta, vjp))
+
+
 class MLPRegression:
     """Single-hidden-layer rectifier network with Gaussian output noise.
 
@@ -138,6 +181,7 @@ class MLPRegression:
         self.d_in = n_features
         self.n_hidden = n_hidden
         self.theta_dim = n_hidden * n_features + n_hidden + n_hidden + 1
+        self.layer_dims = [(n_hidden, n_features), (1, n_hidden)]
         self.log_sigma2 = float(log_sigma2)
         self.learn_noise = learn_noise
 
@@ -148,17 +192,8 @@ class MLPRegression:
 
     def batch_forward(self, Theta, X):
         """Network outputs for each sample row of Theta; returns (K, B)."""
-        X = np.atleast_2d(np.asarray(X, float))
-        K = ad._val(Theta).shape[0]
-        B = X.shape[0]
-        h, d = self.n_hidden, self.d_in
-        W1 = ad.reshape(Theta[:, 0:h * d], (K, h, d))
-        b1 = ad.reshape(Theta[:, h * d:h * d + h], (K, h, 1))
-        w2 = ad.reshape(Theta[:, h * d + h:h * d + 2 * h], (K, 1, h))
-        b2 = ad.reshape(Theta[:, h * d + 2 * h], (K, 1, 1))
-        H = ad.relu(ad.bmm(W1, X.T) + b1)            # (K, h, B)
-        out = ad.bmm(w2, H) + b2                     # (K, 1, B)
-        return ad.reshape(out, (K, B))
+        out = mlp(Theta, X, self.layer_dims)        # (K, 1, B)
+        return ad.reshape(out, (out.shape[0], out.shape[2]))
 
     def batch_log_lik(self, Theta, X, y, hyper=None):
         ls2 = self._log_sigma2(hyper)
@@ -184,19 +219,7 @@ class MLPClassification:
 
     def batch_forward(self, Theta, X):
         """Class logits for each sample row of Theta; returns (K, C, B)."""
-        X = np.atleast_2d(np.asarray(X, float))
-        K = ad._val(Theta).shape[0]
-        A = X.T
-        off = 0
-        for i, (nout, nin) in enumerate(self.layer_dims):
-            W = ad.reshape(Theta[:, off:off + nout * nin], (K, nout, nin))
-            off += nout * nin
-            b = ad.reshape(Theta[:, off:off + nout], (K, nout, 1))
-            off += nout
-            A = ad.bmm(W, A) + b
-            if i < len(self.layer_dims) - 1:
-                A = ad.relu(A)
-        return A
+        return mlp(Theta, X, self.layer_dims)
 
     def batch_log_lik(self, Theta, X, y, hyper=None):
         y = np.asarray(y, dtype=int)

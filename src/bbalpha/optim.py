@@ -95,10 +95,7 @@ def robbins_monro_lr(cfg: TrainConfig, t):
 
 def glorot_layer_dims(model):
     """(d_in, d_out, count) blocks covering an MLP's packed parameter vector."""
-    if model.kind == "mlp_regression":
-        h, d = model.n_hidden, model.d_in
-        return [(d, h, h * d), (d, h, h), (h, 1, h), (h, 1, 1)]
-    if model.kind == "mlp_classification":
+    if hasattr(model, "layer_dims"):
         blocks = []
         for (nout, nin) in model.layer_dims:
             blocks.append((nin, nout, nout * nin))

@@ -1,5 +1,6 @@
-"""Plain-numpy, one-theta-one-row references for the batched models of
-bbalpha.likelihoods.
+"""References for the batched models of bbalpha.likelihoods: plain-numpy
+ones for one theta and one row, and the MLP forward recorded op by op on
+the tape.
 
 The parameter vector is unpacked here without library code, in the packing
 layout the models document: layer-major, each layer's weight matrix
@@ -8,6 +9,8 @@ layout the models document: layer-major, each layer's weight matrix
 
 import numpy as np
 from scipy import special
+
+from bbalpha import autodiff as ad
 
 
 def mlp_layer_dims(model):
@@ -58,3 +61,24 @@ def log_lik(model, theta, x, y, hyper=None):
         return (-0.5 * np.log(2 * np.pi) - 0.5 * ls2
                 - (y - out[0]) ** 2 / (2 * np.exp(ls2)))
     return out[int(y)] - special.logsumexp(out)
+
+
+def tape_forward(model, Theta, X):
+    """An MLP's batch_forward as the library recorded it before the network
+    became one `mlp` node: per layer, take and reshape W and b out of
+    Theta, then bmm, add and (but for the output layer) relu."""
+    X = np.atleast_2d(np.asarray(X, float))
+    K = ad._val(Theta).shape[0]
+    dims = mlp_layer_dims(model)
+    A, off = X.T, 0
+    for i, (n_out, n_in) in enumerate(dims):
+        W = ad.reshape(Theta[:, off:off + n_out * n_in], (K, n_out, n_in))
+        off += n_out * n_in
+        b = ad.reshape(Theta[:, off:off + n_out], (K, n_out, 1))
+        off += n_out
+        A = ad.bmm(W, A) + b
+        if i < len(dims) - 1:
+            A = ad.relu(A)
+    if model.kind == "mlp_regression":
+        return ad.reshape(A, (K, X.shape[0]))
+    return A

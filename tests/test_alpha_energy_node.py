@@ -160,25 +160,27 @@ def test_vjp_case_has_finite_value():
     assert np.isfinite(value)
 
 
-class _RecordingModel(lk.LinearRegression):
-    """Linear regression that keeps weak references to its input and output
-    nodes."""
+def _recording(model_cls):
+    """A subclass of a model class that keeps weak references to its input
+    and output nodes."""
+    class Recording(model_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.refs = []
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.refs = []
+        def batch_log_lik(self, Theta, X, y, hyper=None):
+            out = super().batch_log_lik(Theta, X, y, hyper)
+            self.refs += [weakref.ref(Theta), weakref.ref(out)]
+            return out
 
-    def batch_log_lik(self, Theta, X, y, hyper=None):
-        out = super().batch_log_lik(Theta, X, y, hyper)
-        self.refs += [weakref.ref(Theta), weakref.ref(out)]
-        return out
+    return Recording
 
 
 @pytest.mark.parametrize("alpha", [0.5, None])
 def test_finished_tape_is_freed_without_the_cyclic_gc(alpha):
     rng = np.random.default_rng(0)
     data = lk.Dataset(rng.normal(size=(10, 2)), rng.normal(size=10))
-    model = _RecordingModel(2, 0.5)
+    model = _recording(lk.LinearRegression)(2, 0.5)
     q = FactorizedGaussian(rng.normal(size=2), np.full(2, -1.0))
     prior = NaturalParams(np.zeros(2), np.full(2, -0.5))
     a = None if alpha is None else en.AlphaParam(alpha, data.n)
@@ -189,6 +191,29 @@ def test_finished_tape_is_freed_without_the_cyclic_gc(alpha):
                                    learn_prior=True)
         assert np.isfinite(est.value)
         assert len(model.refs) == 2
+        assert all(r() is None for r in model.refs)
+    finally:
+        gc.enable()
+
+
+def test_check_gradient_probes_are_freed_without_the_cyclic_gc():
+    rng = np.random.default_rng(1)
+    X, y = rng.normal(size=(4, 2)), rng.normal(size=4)
+    model = _recording(lk.MLPRegression)(2, 2)
+    dim = model.theta_dim
+    eps = rng.standard_normal((3, dim))
+    pm, plv = np.zeros(dim), np.zeros(dim)
+
+    def f(mu, log_var):
+        return en._mc_expr(mu, log_var, pm, plv, model, X, y, 20, 0.5, eps)
+
+    gc.disable()
+    try:
+        rep = ad.check_gradient(f, [rng.normal(size=dim), np.full(dim, -1.0)],
+                                step=1e-6)
+        assert rep.passed, rep
+        # the gradient evaluation and two probes per coordinate
+        assert len(model.refs) == 2 * (1 + 2 * 2 * dim)
         assert all(r() is None for r in model.refs)
     finally:
         gc.enable()

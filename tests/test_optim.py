@@ -46,6 +46,21 @@ def test_glorot_layer_dims_cover_parameter_vector():
     assert total_r == model_r.theta_dim
 
 
+@pytest.mark.parametrize("model, blocks", [
+    # (fan_in, fan_out, count) per weight and bias block, written out
+    (lk.MLPRegression(3, 5), [(3, 5, 15), (3, 5, 5), (5, 1, 5), (5, 1, 1)]),
+    (lk.MLPClassification(3, 5, 4, 2),
+     [(3, 5, 15), (3, 5, 5), (5, 4, 20), (5, 4, 4), (4, 2, 8), (4, 2, 2)]),
+])
+def test_glorot_init_follows_the_layer_layout(model, blocks):
+    cfg = TrainConfig(init="glorot", seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    want = np.concatenate([rng.normal(0.0, np.sqrt(2.0 / (i + o)), size=c)
+                           for i, o, c in blocks])
+    assert glorot_layer_dims(model) == blocks
+    assert init_q(model, cfg).mu.tobytes() == want.tobytes()
+
+
 def test_init_q_policies():
     model = lk.MLPRegression(2, 4)
     small = init_q(model, TrainConfig(init="small-normal", init_std=0.1, seed=0))
