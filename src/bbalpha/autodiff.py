@@ -199,7 +199,8 @@ def _logsumexp_keepdims(a, axis):
     # in a slice of -inf entries, -inf - -inf is NaN; every such entry is a
     # tied maximum and is zeroed below, so the slice gives -inf as in scipy
     with np.errstate(invalid="ignore"):
-        e = np.exp(a - a_max)
+        e = a - a_max
+        np.exp(e, out=e)
     e[tied] = 0.0
     s = e.sum(axis=axis, keepdims=True)
     return np.log1p(s / m) + np.log(m) + a_max

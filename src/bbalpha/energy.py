@@ -6,8 +6,9 @@ alpha -> 0 limit), the closed-form energy for conjugate linear regression,
 the lower-bound certificate and the moment-matching stationarity residual.
 
 On the tape the MC estimator is three parts: a `reparam` node for the K
-samples, the model's log-likelihood, and one `alpha_energy` node that holds
-the diagonal-Gaussian arithmetic and its closed-form gradient.  The central
+samples, the model's log-likelihood (the samples' one consumer), and one
+`alpha_energy` node that holds the diagonal-Gaussian arithmetic, in place on
+arrays it allocates, and its closed-form gradient.  The central
 numerical decision: log E_q[(p/f)^alpha] is always computed as
 logsumexp(alpha * delta_k) - log K with a max shift, never by exponentiating
 alpha * delta directly.
@@ -68,22 +69,27 @@ def _log_partition_expr(mu, log_var):
 def _reparam(mu, log_var, eps):
     """theta = mu + exp(log_var / 2) * eps as one (K, dim) node."""
     sd = np.exp(0.5 * ad._val(log_var))
-    return ad.node(ad._val(mu) + sd * eps, "reparam",
+    theta = eps * sd
+    theta += ad._val(mu)
+    return ad.node(theta, "reparam",
                    (mu, lambda g: g.sum(axis=0)),
-                   (log_var, lambda g: np.sum(g * eps, axis=0) * sd * 0.5))
+                   (log_var, lambda g: np.einsum("kp,kp->p", g, eps) * sd * 0.5))
 
 
-def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha):
+def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
+                  eps):
     """Everything of the energy but the model's log-likelihood, one node.
 
     With l1, l2 the tied site's natural parameters and
     delta_kb = loglik_kb - (theta_k . l1 + theta_k^2 . l2), the value is
     logZ0 - logZq - N / (alpha B) sum_b [logsumexp_k(alpha delta_kb) - log K].
     The VJP uses the tilted weights w = softmax_k(alpha delta):
-    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb feeds theta_k and,
-    through sum_k c_k theta_k and sum_k c_k theta_k^2, the Gaussian slots.
-    alpha=None is the VB energy, the same node with w = 1/K.  An improper
-    cavity lambda_q - alpha * lambda raises ImproperCavity.
+    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb feeds the Gaussian
+    slots through sum_k c_k theta_k and sum_k c_k theta_k^2.  theta's own
+    term c_k (l1 + 2 theta_k l2) reaches mu and log_var in closed form
+    through theta = mu + sd eps, so theta gets no gradient here.  alpha=None
+    is the VB energy, the same node with w = 1/K.  An improper cavity
+    lambda_q - alpha * lambda raises ImproperCavity.
     """
     m, lv, pm, plv, th, ll = (ad._val(v) for v in
                               (mu, log_var, p_mu, p_log_var, theta, loglik))
@@ -93,24 +99,31 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha):
     l2 = 0.5 * (iv0 - ivq) / n_data
     if alpha is not None and (-0.5 * ivq - alpha * l2 >= 0.0).any():
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
-    delta = ll - (th @ l1 + (th * th) @ l2)[:, None]
+    th2 = th * th
+    delta = ll - (th @ l1 + th2 @ l2)[:, None]
     logZ_diff = ((0.5 * pm * pm * iv0 + 0.5 * (_LOG_2PI + plv)).sum()
                  - (0.5 * m * m * ivq + 0.5 * (_LOG_2PI + lv)).sum())
     if alpha is None:
         w = np.full((K, B), 1.0 / K)
         value = logZ_diff - (n_data / B) * (delta.sum() / K)
     else:
-        lse = ad._logsumexp_keepdims(alpha * delta, 0)
-        w = np.exp(alpha * delta - lse)
+        w = np.multiply(alpha, delta, out=delta)
+        lse = ad._logsumexp_keepdims(w, 0)
+        np.subtract(w, lse, out=w)
+        np.exp(w, out=w)
         value = logZ_diff - (n_data / (alpha * B)) * (lse - np.log(K)).sum()
 
     c = (n_data / B) * w.sum(axis=1)                  # (K,)
-    u1 = (c @ th) / n_data                            # dE/d eta1q = -dE/d eta1_0
-    u2 = (c @ (th * th)) / n_data                     # dE/d eta2q = -dE/d eta2_0
-    grads = [(mu, (u1 - m) * ivq),
-             (log_var, (0.5 * m * m - u1 * m + 0.5 * u2) * ivq - 0.5),
-             (theta, c[:, None] * (l1 + 2.0 * th * l2)),
-             (loglik, -(n_data / B) * w)]
+    w *= -(n_data / B)                                # dE/dloglik
+    c_th = c @ th
+    u1 = c_th / n_data                                # dE/d eta1q = -dE/d eta1_0
+    u2 = (c @ th2) / n_data                           # dE/d eta2q = -dE/d eta2_0
+    sd, c_eps = np.exp(0.5 * lv), c @ eps
+    c_eps2 = c @ np.multiply(eps, eps, out=th2)       # th2 is spent
+    grads = [(mu, (u1 - m) * ivq + c.sum() * l1 + 2.0 * l2 * c_th),
+             (log_var, (0.5 * m * m - u1 * m + 0.5 * u2) * ivq - 0.5
+              + 0.5 * sd * (l1 * c_eps + 2.0 * l2 * (m * c_eps + sd * c_eps2))),
+             (loglik, w)]
     if isinstance(p_mu, ad.Var):                      # learned prior slots
         grads += [(p_mu, (pm - u1) * iv0),
                   (p_log_var, 0.5 - (0.5 * pm * pm - u1 * pm + 0.5 * u2) * iv0)]
@@ -118,8 +131,10 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha):
     for _, gr in grads:
         if not np.isfinite(gr).all():
             raise NonFiniteIntermediate("alpha_energy")
+    # the root's unit seed needs no copy of gr
     return ad.node(value, "alpha_energy",
-                   *[(v, lambda g, gr=gr: g * gr) for v, gr in grads])
+                   *[(v, lambda g, gr=gr: gr if g == 1.0 else g * gr)
+                     for v, gr in grads])
 
 
 def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
@@ -129,7 +144,7 @@ def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
     theta = _reparam(mu, log_var, eps)
     loglik = model.batch_log_lik(theta, X, y, hyper=hyper)
     return _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data,
-                         alpha)
+                         alpha, eps)
 
 
 def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):

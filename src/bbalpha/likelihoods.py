@@ -6,8 +6,9 @@ variables.  Every model has one batched interface over a (K, P) matrix of
 parameter samples: batch_forward(Theta, X) and batch_log_lik(Theta, X, y).
 MLP parameter vectors are packed layer-major, weights before
 biases: (W1, b1, W2, b2, ...) with each weight matrix flattened row-major.
-Both MLPs run their network as one `mlp` node, which in the MC energy sits
-between the `reparam` and `alpha_energy` nodes.
+Both MLPs run their network as one `mlp` node and linear regression's
+log-likelihood is one `linreg` node; in the MC energy these sit between the
+`reparam` and `alpha_energy` nodes and write only into arrays they allocate.
 """
 
 import csv
@@ -123,8 +124,23 @@ class LinearRegression:
         return ad.dot(Theta, np.asarray(X, float).T)
 
     def batch_log_lik(self, Theta, X, y, hyper=None):
-        resid = np.asarray(y, float)[None, :] - self.batch_forward(Theta, X)
-        return -0.5 * np.log(2 * np.pi * self.sigma2) - resid * resid / (2 * self.sigma2)
+        """One `linreg` node, c0 - resid^2 / (2 sigma2) with resid =
+        y - Theta X^T; value and VJP -2 (-g / (2 sigma2)) resid X round
+        exactly as the op-by-op tape expression does."""
+        X = np.asarray(X, float)
+        resid = ad._val(Theta) @ X.T
+        np.subtract(np.asarray(y, float)[None, :], resid, out=resid)
+        out = resid * resid
+        out /= 2 * self.sigma2
+        np.subtract(-0.5 * np.log(2 * np.pi * self.sigma2), out, out=out)
+
+        def vjp(g):
+            t = g / (-2 * self.sigma2)
+            t *= resid
+            t *= -2.0
+            return t @ X
+
+        return ad.node(out, "linreg", (Theta, vjp))
 
 
 def mlp(Theta, X, layer_dims):
@@ -132,10 +148,12 @@ def mlp(Theta, X, layer_dims):
 
     (K, P) Theta and (B, d) X give the last layer's (K, n_out, B) outputs;
     every other layer is followed by max(., 0).  `layer_dims` lists
-    (n_out, n_in) per layer; W and b are views of Theta.  The VJP walks the
-    layers backwards: dW = G A_prev^T, db = sum_b G, G * (Z > 0) through a
-    rectifier (0 at a kink, as `relu` gives) and W^T G down a layer.  A
-    plain-array Theta gives a plain array.
+    (n_out, n_in) per layer; W and b are views of Theta.  Only the
+    activations A are kept: A > 0 is exactly the rectifier's mask Z > 0.
+    The VJP walks the layers backwards: dW = G A_prev^T, db = sum_b G, both
+    written into one (K, P) array, W^T G down a layer and G * (A_prev > 0)
+    through a rectifier (0 at a kink, as `relu` gives).  A plain-array Theta
+    gives a plain array.
     """
     Tv = ad._val(Theta)
     K = Tv.shape[0]
@@ -146,23 +164,26 @@ def mlp(Theta, X, layer_dims):
         b_sl = slice(w_sl.stop, w_sl.stop + nout)
         off = b_sl.stop
         W = Tv[:, w_sl].reshape(K, nout, nin)
-        Z = np.matmul(W, A) + Tv[:, b_sl].reshape(K, nout, 1)
-        layers.append((W, w_sl, b_sl, A, Z))
-        A = np.maximum(Z, 0.0) if i < len(layer_dims) - 1 else Z
+        layers.append((W, w_sl, b_sl, A))
+        A = np.matmul(W, A)
+        A += Tv[:, b_sl].reshape(K, nout, 1)
+        if i < len(layer_dims) - 1:
+            np.maximum(A, 0.0, out=A)
     if off != Tv.shape[1]:
         raise ShapeMismatch("layers pack %d parameters, Theta has %d"
                             % (off, Tv.shape[1]))
 
     def vjp(G):
-        dT = np.empty_like(Tv)
+        dT = np.empty(Tv.shape)         # C order: the slices reshape as views
         for i in range(len(layers) - 1, -1, -1):
-            W, w_sl, b_sl, A_prev, Z = layers[i]
-            if i < len(layers) - 1:
-                G = G * (Z > 0.0)
-            dT[:, w_sl] = np.matmul(G, np.swapaxes(A_prev, -1, -2)).reshape(K, -1)
-            dT[:, b_sl] = G.sum(axis=2)
+            W, w_sl, b_sl, A_prev = layers[i]
+            np.matmul(G, np.swapaxes(A_prev, -1, -2),
+                      out=dT[:, w_sl].reshape(W.shape))
+            np.sum(G, axis=2, out=dT[:, b_sl])
             if i:
+                # a fresh array, masked in place; A_prev > 0 where its Z > 0
                 G = np.matmul(np.swapaxes(W, -1, -2), G)
+                G *= A_prev > 0.0
         return dT
 
     return ad.node(A, "mlp", (Theta, vjp))

@@ -176,7 +176,7 @@ def train(model, data, prior, cfg: TrainConfig):
 
     state = AdamState(np.zeros_like(w), np.zeros_like(w))
     trace = TrainTrace()
-    eps = None
+    eps = np.empty((cfg.k_samples, dim))
     step = 0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -192,7 +192,7 @@ def train(model, data, prior, cfg: TrainConfig):
                                                    cfg.learn_prior)
             prior_now = learned_prior if learned_prior is not None else prior
             if cfg.energy_mode != "exact" and step % cfg.refresh_every == 0:
-                eps = eps_rng.standard_normal((cfg.k_samples, dim))
+                eps_rng.standard_normal(out=eps)
             try:
                 if cfg.energy_mode == "exact":
                     est = bbalpha_energy_exact_grad(q, prior_now, model, data,

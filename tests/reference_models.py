@@ -1,6 +1,6 @@
 """References for the batched models of bbalpha.likelihoods: plain-numpy
-ones for one theta and one row, and the MLP forward recorded op by op on
-the tape.
+ones for one theta and one row, and the MLP forward and the linear
+regression log-likelihood recorded op by op on the tape.
 
 The parameter vector is unpacked here without library code, in the packing
 layout the models document: layer-major, each layer's weight matrix
@@ -82,3 +82,11 @@ def tape_forward(model, Theta, X):
     if model.kind == "mlp_regression":
         return ad.reshape(A, (K, X.shape[0]))
     return A
+
+
+def linreg_tape_log_lik(model, Theta, X, y):
+    """LinearRegression.batch_log_lik as the library recorded it before it
+    became one `linreg` node: dot, sub, mul, div and sub."""
+    resid = np.asarray(y, float)[None, :] - ad.dot(Theta, np.asarray(X, float).T)
+    return (-0.5 * np.log(2 * np.pi * model.sigma2)
+            - resid * resid / (2 * model.sigma2))

@@ -79,6 +79,19 @@ def test_fused_energy_gradient_against_finite_differences(alpha, kind,
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize("alpha", [0.5, None])
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaled_energy_scales_gradient(alpha, kind):
+    # the node below another op gets a seed other than the root's unit one
+    slots, fn = _problem(kind, True, seed=5)
+    f = fn(en._mc_expr, alpha)
+    value, grads = ad.value_and_grad(f, slots)
+    scaled, scaled_grads = ad.value_and_grad(lambda *v: -2.5 * f(*v), slots)
+    assert scaled == pytest.approx(-2.5 * value, rel=1e-15)
+    for g, w in zip(scaled_grads, grads):
+        assert np.abs(g + 2.5 * w).max() <= 1e-12 * np.abs(2.5 * w).max()
+
+
 class _LinearLogLik:
     """log p = Theta @ W, no normalisation: a free (K, B) log-likelihood."""
 
