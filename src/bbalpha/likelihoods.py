@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import autodiff as ad
 from .errors import (ClassOutOfRange, ConfigError, MissingColumn,
@@ -104,8 +103,11 @@ class ProbitRegression:
         return ad.dot(Theta, np.asarray(X, float).T)
 
     def batch_log_lik(self, Theta, X, y, hyper=None):
-        z = self.batch_forward(Theta, X)
-        return ad.log_norm_cdf(z * np.asarray(y, float)[None, :])
+        """log Phi(y theta^T x) as `dot` and `log_norm_cdf` nodes: the
+        labels are folded into the rows of X, which for labels +-1 is exact
+        and saves a (K, B) product node."""
+        Xy = np.asarray(X, float) * np.asarray(y, float)[:, None]
+        return ad.log_norm_cdf(self.batch_forward(Theta, Xy))
 
 
 class LinearRegression:
@@ -284,7 +286,7 @@ def gen_synthetic_probit(seed, n=200, d=4, w_scale=1.5):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, w_scale, size=d)
     X = rng.normal(size=(n, d))
-    p = special.ndtr(X @ w)
+    p = ad.norm_cdf(X @ w)
     y = np.where(rng.uniform(size=n) < p, 1.0, -1.0)
     return Dataset(X, y, name="synthetic_probit", task="probit")
 

@@ -7,7 +7,6 @@ Results are per-row arrays; every row sees the same K samples.
 """
 
 import numpy as np
-from scipy import special
 
 from . import autodiff as ad
 from .expfam import sample_reparam
@@ -71,7 +70,7 @@ def predict_probit(q, model, X, k_samples, seed):
     theta = _theta_samples(q, k_samples, seed)
 
     def block(Xb):
-        p_pos = special.ndtr(model.batch_forward(theta, Xb)).mean(axis=0)
+        p_pos = ad.norm_cdf(model.batch_forward(theta, Xb)).mean(axis=0)
         return np.stack([1.0 - p_pos, p_pos], axis=1)
 
     return _by_row_block(block, X)

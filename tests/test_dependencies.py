@@ -1,0 +1,85 @@
+"""What the package imports: only its declared dependencies, and no scipy."""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# import names whose distribution is called something else
+DISTRIBUTION = {"yaml": "pyyaml"}
+
+
+def test_a_probit_run_never_loads_scipy(tmp_path):
+    script = textwrap.dedent("""
+        import importlib, json, pkgutil, sys
+
+        import yaml
+
+        import bbalpha
+        for info in pkgutil.iter_modules(bbalpha.__path__):
+            importlib.import_module("bbalpha." + info.name)
+        from bbalpha import cli
+
+        cfg = {
+            "dataset": {"kind": "synthetic_probit", "seed": 1, "n": 40, "d": 2},
+            "model": {"kind": "probit"},
+            "train": {"alpha": 0.5, "k_samples": 5, "batch_size": 10,
+                      "epochs": 2, "learning_rate": 0.05},
+            "experiment": {"n_splits": 1, "seed": 0, "metrics_k": 20},
+        }
+        with open("cfg.yaml", "w", encoding="utf-8") as fh:
+            yaml.safe_dump(cfg, fh)
+        report = cli.cmd_train("cfg.yaml", "out")
+        print(json.dumps({"splits": len(report["splits"]),
+                          "scipy": sorted(m for m in sys.modules
+                                          if m.split(".")[0] == "scipy")}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"splits": 1, "scipy": []}
+
+
+def _declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    # a requirement is its name up to the first version or marker character
+    names = set()
+    for req in project["dependencies"]:
+        for stop in "<>=!~;[ ":
+            req = req.split(stop)[0]
+        names.add(req.strip().lower())
+    return names
+
+
+def _top_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+            yield stmt.module.split(".")[0]
+
+
+def test_every_import_is_a_declared_dependency():
+    declared = _declared_dependencies()
+    undeclared = set()
+    for path in sorted((SRC / "bbalpha").glob("*.py")):
+        for name in _top_level_imports(path):
+            if name in sys.stdlib_module_names or name == "bbalpha":
+                continue
+            if DISTRIBUTION.get(name, name) not in declared:
+                undeclared.add((path.name, name))
+    assert not undeclared
+    assert "scipy" not in declared
