@@ -5,13 +5,13 @@ scaling, whose alpha=None case is the variational free energy (the
 alpha -> 0 limit), the closed-form energy for conjugate linear regression,
 the lower-bound certificate and the moment-matching stationarity residual.
 
-On the tape the MC estimator is three parts: a `reparam` node for the K
-samples, the model's log-likelihood (the samples' one consumer), and one
-`alpha_energy` node that holds the diagonal-Gaussian arithmetic, in place on
-arrays it allocates, and its closed-form gradient.  The central
-numerical decision: log E_q[(p/f)^alpha] is always computed as
-logsumexp(alpha * delta_k) - log K with a max shift, never by exponentiating
-alpha * delta directly.
+The MC estimator is a `reparam` node for the K samples, the model's
+log-likelihood (the samples' one consumer), and one `alpha_energy` node
+holding the diagonal-Gaussian arithmetic, in place on arrays it allocates,
+and its closed-form gradient; the exact energy is one `exact_energy` node
+whose gradient is the moment-matching residual.  log E_q[(p/f)^alpha] is
+always logsumexp(alpha * delta_k) - log K with a max shift, never the log
+of a mean of exponentiated alpha * delta.
 """
 
 from dataclasses import dataclass
@@ -57,13 +57,9 @@ def _prior_mv(prior: NaturalParams):
     return prior.eta1 * var, np.log(var)
 
 
-def _nat_from_mu_logvar(mu, log_var):
-    inv_var = ad.exp(-log_var)
-    return mu * inv_var, -0.5 * inv_var
-
-
-def _log_partition_expr(mu, log_var):
-    return ad.asum(0.5 * mu * mu * ad.exp(-log_var) + 0.5 * (_LOG_2PI + log_var))
+def _log_partition(mu, log_var, inv_var):
+    """Diagonal-Gaussian log Z at (mu, log_var); inv_var is exp(-log_var)."""
+    return (0.5 * mu * mu * inv_var + 0.5 * (_LOG_2PI + log_var)).sum()
 
 
 def _reparam(mu, log_var, eps):
@@ -101,8 +97,7 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
     th2 = th * th
     delta = ll - (th @ l1 + th2 @ l2)[:, None]
-    logZ_diff = ((0.5 * pm * pm * iv0 + 0.5 * (_LOG_2PI + plv)).sum()
-                 - (0.5 * m * m * ivq + 0.5 * (_LOG_2PI + lv)).sum())
+    logZ_diff = _log_partition(pm, plv, iv0) - _log_partition(m, lv, ivq)
     if alpha is None:
         w = np.full((K, B), 1.0 / K)
         value = logZ_diff - (n_data / B) * (delta.sum() / K)
@@ -150,22 +145,13 @@ def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
 def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
     p_mu, p_log_var = _prior_mv(prior)
     slots = [q.mu.copy(), q.log_var.copy()]
-    if learn_noise:
-        slots.append(np.atleast_1d(float(hyper)))
-    if learn_prior:
-        slots.extend([p_mu.copy(), p_log_var.copy()])
+    slots += [np.atleast_1d(float(hyper))] if learn_noise else []
+    slots += [p_mu.copy(), p_log_var.copy()] if learn_prior else []
 
     def unpack(vs):
-        mu, log_var = vs[0], vs[1]
-        i = 2
-        h = hyper
-        pm, plv = p_mu, p_log_var
-        if learn_noise:
-            h = vs[i][0]
-            i += 1
-        if learn_prior:
-            pm, plv = vs[i], vs[i + 1]
-        return mu, log_var, h, pm, plv
+        h = vs[2][0] if learn_noise else hyper
+        pm, plv = vs[-2:] if learn_prior else (p_mu, p_log_var)
+        return vs[0], vs[1], h, pm, plv
 
     return slots, unpack
 
@@ -208,62 +194,83 @@ def vb_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
 # ---------------------------------------------------------------------------
 # closed forms for conjugate linear regression
 
-def _exact_expr(mu, log_var, p_mu, p_log_var, X, y, sigma2, alpha, n_data):
-    """Closed form of the tied-site energy for Gaussian likelihoods.
+def _conjugate_xy(model, data):
+    if model.kind != "linreg":
+        raise ConfigError("exact energy requires a conjugate linreg model")
+    return data.features, np.asarray(data.targets, float)
 
-    The rank-one tilted precision diag(d) + (alpha/sigma2) x x^T is handled
-    with Sherman-Morrison and the matrix determinant lemma so the whole
-    expression stays within elementwise autodiff primitives.
+
+def _exact_closed_form(m, lv, pm, plv, X, y, sigma2, alpha, n_data):
+    """Exact energy, its gradient over (mu, log_var, p_mu, p_log_var) and
+    the averaged tilted moments (mean_n E_n[theta], mean_n E_n[theta^2]).
+
+    The cavity precision is diag(d); row n's tilted precision adds
+    (alpha/sigma2) x_n x_n^T, so Sherman-Morrison and the determinant lemma
+    give every row's moments m_n of s(theta) = (theta, theta^2) at once.
+    With mbar = mean_n m_n and X holding all N rows,
+    dE/dlambda_q = (N/alpha - 1)(E_q[s] - mbar) and
+    dE/dlambda_0 = E_0[s] - mbar; R rows add (R/N - 1) mbar to the first,
+    with R for N in its factor, and scale mbar by R/N in the second.
     """
-    N, dim = X.shape
-    eta1q, eta2q = _nat_from_mu_logvar(mu, log_var)
-    eta1_0, eta2_0 = _nat_from_mu_logvar(p_mu, p_log_var)
-    logZq = _log_partition_expr(mu, log_var)
-    logZ0 = _log_partition_expr(p_mu, p_log_var)
-    l1 = (eta1q - eta1_0) / n_data
-    l2 = (eta2q - eta2_0) / n_data
-    cav1 = eta1q - alpha * l1
-    cav2 = eta2q - alpha * l2
-    d = -2.0 * cav2
-    if np.any(ad._val(d) <= 0.0):
+    rows, dim = X.shape
+    ivq, iv0 = np.exp(-lv), np.exp(-plv)
+    e1q = m * ivq
+    cav1 = e1q - alpha * (e1q - pm * iv0) / n_data
+    d = ivq - alpha * (ivq - iv0) / n_data          # -2 * cavity eta2
+    if np.any(d <= 0.0):
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
     c = alpha / sigma2
-
-    h = ad.reshape(cav1, (1, dim)) + c * y[:, None] * X      # (N, dim)
-    inv_d = ad.reshape(1.0 / d, (1, dim))
-    s1 = ad.asum(h * h * inv_d, axis=1)
-    s2 = ad.asum(h * X * inv_d, axis=1)
-    s3 = ad.asum(X * X * inv_d, axis=1)
-    denom = 1.0 + c * s3
-    if np.any(ad._val(denom) <= 0.0):
+    h = cav1 + (c * y)[:, None] * X                 # (rows, dim)
+    u = X / d
+    denom = 1.0 + c * np.einsum("nd,nd->n", X, u)
+    if np.any(denom <= 0.0):
         raise ImproperTilted("tilted precision not positive definite")
-    quad = s1 - c * s2 * s2 / denom
-    logdet = ad.asum(ad.log(d)) + ad.log(denom)              # (N,)
+    t = c / denom
+    mean = h / d
+    mean -= (t * np.einsum("nd,nd->n", h, u))[:, None] * u
+    second = 1.0 / d - t[:, None] * u * u + mean * mean
     logint = (-0.5 * alpha * np.log(2 * np.pi * sigma2)
               - alpha * y * y / (2.0 * sigma2)
-              + 0.5 * quad + 0.5 * dim * _LOG_2PI - 0.5 * logdet)
-    log_eq = logint - logZq
-    return logZ0 - logZq - ad.asum(log_eq) / alpha
+              + 0.5 * np.einsum("nd,nd->n", h, mean) + 0.5 * dim * _LOG_2PI
+              - 0.5 * (np.log(d).sum() + np.log(denom)))
+    logZq = _log_partition(m, lv, ivq)
+    value = _log_partition(pm, plv, iv0) - logZq - (logint - logZq).sum() / alpha
+
+    mb1, mb2 = mean.mean(axis=0), second.mean(axis=0)
+    r, f = rows / n_data, rows / alpha - 1.0
+    g1q = f * (m - mb1) + (r - 1.0) * mb1
+    g2q = f * (np.exp(lv) + m * m - mb2) + (r - 1.0) * mb2
+    g1_0, g2_0 = pm - r * mb1, np.exp(plv) + pm * pm - r * mb2
+    grads = [g1q * ivq, (0.5 * g2q - g1q * m) * ivq,
+             g1_0 * iv0, (0.5 * g2_0 - g1_0 * pm) * iv0]
+    return value, grads, (mb1, mb2)
+
+
+def _exact_expr(mu, log_var, p_mu, p_log_var, X, y, sigma2, alpha, n_data):
+    """The closed-form energy of conjugate linear regression, one node."""
+    slots = (mu, log_var, p_mu, p_log_var)
+    value, grads, _ = _exact_closed_form(*map(ad._val, slots), X, y, sigma2,
+                                         alpha, n_data)
+    parents = [(v, gr) for v, gr in zip(slots, grads) if isinstance(v, ad.Var)]
+    if not all(np.isfinite(gr).all() for _, gr in parents):
+        raise NonFiniteIntermediate("exact_energy")
+    return ad.node(value, "exact_energy",
+                   *[(v, lambda g, gr=gr: g * gr) for v, gr in parents])
 
 
 def bbalpha_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
                          data, alpha: AlphaParam) -> float:
     """Exact tied-site energy; conjugate (Gaussian-likelihood) models only."""
-    if model.kind != "linreg":
-        raise ConfigError("exact energy requires a conjugate linreg model")
+    X, y = _conjugate_xy(model, data)
     p_mu, p_log_var = _prior_mv(prior)
-    return float(_exact_expr(q.mu, q.log_var, p_mu, p_log_var, data.features,
-                             np.asarray(data.targets, float), model.sigma2,
-                             alpha.alpha, alpha.n_data))
+    return float(_exact_expr(q.mu, q.log_var, p_mu, p_log_var, X, y,
+                             model.sigma2, alpha.alpha, alpha.n_data))
 
 
 def bbalpha_energy_exact_grad(q, prior, model, data, alpha: AlphaParam,
                               learn_prior=False) -> EnergyEstimate:
     """Exact energy with its gradient over (mu, log_var[, prior slots])."""
-    if model.kind != "linreg":
-        raise ConfigError("exact energy requires a conjugate linreg model")
-    X = data.features
-    y = np.asarray(data.targets, float)
+    X, y = _conjugate_xy(model, data)
     slots, unpack = _slots_and_unpack(q, None, False, prior, learn_prior)
 
     def f(*vs):
@@ -283,13 +290,11 @@ def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
     E_q[log p(y|theta,x)] is analytic for the Gaussian likelihood; the KL
     term is the diagonal-Gaussian KL from q to the prior.
     """
-    if model.kind != "linreg":
-        raise ConfigError("exact energy requires a conjugate linreg model")
+    X, y = _conjugate_xy(model, data)
     mv_p = nat_to_meanvar(prior)
     var_q = q.var
     kl = 0.5 * np.sum(np.log(mv_p.var) - q.log_var
                       + (var_q + (q.mu - mv_p.mu) ** 2) / mv_p.var - 1.0)
-    X, y = data.features, np.asarray(data.targets, float)
     s2 = model.sigma2
     resid = y - X @ q.mu
     exp_ll = np.sum(-0.5 * np.log(2 * np.pi * s2)
@@ -316,32 +321,15 @@ def lower_bound_certificate(q, prior, model, data, alpha: AlphaParam) -> float:
 def stationarity_residual(q, prior, model, data, alpha: AlphaParam) -> float:
     """Max-norm violation of the averaged moment-matching condition.
 
-    E_q[s(theta)] versus the average of tilted-distribution moments, with
-    all tilted moments computed in closed form (conjugate model only).
+    E_q[s(theta)] against the average of the closed-form tilted moments
+    (conjugate model only): the exact energy's gradient with respect to
+    lambda_q without its factor N/alpha - 1.
     """
-    from .oracle import tilted_moments_linreg
-    if model.kind != "linreg":
-        raise ConfigError("stationarity residual requires a conjugate model")
-    a, N = alpha.alpha, alpha.n_data
-    q_nat = q.to_nat()
-    prior_e1, prior_e2 = prior.eta1, prior.eta2
-    l1 = (q_nat.eta1 - prior_e1) / N
-    l2 = (q_nat.eta2 - prior_e2) / N
-    cav1 = q_nat.eta1 - a * l1
-    cav2 = q_nat.eta2 - a * l2
-    if np.any(cav2 >= 0.0):
-        raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % a)
-    X, y = data.features, np.asarray(data.targets, float)
-    first = np.zeros(q.dim)
-    second = np.zeros(q.dim)
-    for n in range(data.n):
-        m, cov, _ = tilted_moments_linreg(cav1, cav2, X[n], y[n],
-                                          model.sigma2, a)
-        first += m
-        second += np.diag(cov) + m ** 2
-    first /= data.n
-    second /= data.n
-    var_q = q.var
+    X, y = _conjugate_xy(model, data)
+    p_mu, p_log_var = _prior_mv(prior)
+    _, _, (first, second) = _exact_closed_form(
+        q.mu, q.log_var, p_mu, p_log_var, X, y, model.sigma2, alpha.alpha,
+        alpha.n_data)
     res1 = np.abs(q.mu - first)
-    res2 = np.abs(var_q + q.mu ** 2 - second)
+    res2 = np.abs(q.var + q.mu ** 2 - second)
     return float(max(res1.max(), res2.max()))

@@ -194,19 +194,18 @@ def mlp(Theta, X, layer_dims):
 class MLPRegression:
     """Single-hidden-layer rectifier network with Gaussian output noise.
 
-    The noise is parameterized by log sigma2, passed as the hyper slot so it
-    can be trained by energy descent or frozen.
+    The noise is parameterized by log sigma2, passed as the hyper slot: it
+    is trained when TrainConfig.learn_noise is set and frozen otherwise.
     """
 
     kind = "mlp_regression"
 
-    def __init__(self, n_features, n_hidden, log_sigma2=0.0, learn_noise=False):
+    def __init__(self, n_features, n_hidden, log_sigma2=0.0):
         self.d_in = n_features
         self.n_hidden = n_hidden
         self.theta_dim = n_hidden * n_features + n_hidden + n_hidden + 1
         self.layer_dims = [(n_hidden, n_features), (1, n_hidden)]
         self.log_sigma2 = float(log_sigma2)
-        self.learn_noise = learn_noise
 
     def _log_sigma2(self, hyper):
         if hyper is None:
@@ -253,21 +252,30 @@ class MLPClassification:
         return picked - ad.logsumexp(A, axis=1)
 
 
+_MODEL_KEYS = {"probit": (), "linreg": ("sigma2",),
+               "mlp_regression": ("n_hidden", "log_sigma2"),
+               "mlp_classification": ("n_hidden1", "n_hidden2", "n_classes")}
+
+
 def make_model(kind, n_features, **kw):
+    if kind not in _MODEL_KEYS:
+        raise ConfigError("unknown model kind %r" % kind)
+    unknown = sorted(str(k) for k in kw if k not in _MODEL_KEYS[kind])
+    if unknown:
+        raise ConfigError("unknown model key(s) for %s: %s"
+                          % (kind, ", ".join(unknown)))
     if kind == "probit":
         return ProbitRegression(n_features)
     if kind == "linreg":
         return LinearRegression(n_features, kw.get("sigma2", 1.0))
     if kind == "mlp_regression":
         return MLPRegression(n_features, kw.get("n_hidden", 100),
-                             kw.get("log_sigma2", 0.0), kw.get("learn_noise", False))
-    if kind == "mlp_classification":
-        if "n_classes" not in kw:
-            raise ConfigError("missing required key model.n_classes for "
-                              "mlp_classification")
-        return MLPClassification(n_features, kw.get("n_hidden1", 50),
-                                 kw.get("n_hidden2", 50), kw["n_classes"])
-    raise ConfigError("unknown model kind %r" % kind)
+                             kw.get("log_sigma2", 0.0))
+    if "n_classes" not in kw:
+        raise ConfigError("missing required key model.n_classes for "
+                          "mlp_classification")
+    return MLPClassification(n_features, kw.get("n_hidden1", 50),
+                             kw.get("n_hidden2", 50), kw["n_classes"])
 
 
 # ---------------------------------------------------------------------------

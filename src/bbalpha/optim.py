@@ -157,6 +157,9 @@ def train(model, data, prior, cfg: TrainConfig):
     import time
 
     cfg.validate(data.n)
+    if cfg.learn_noise and not hasattr(model, "log_sigma2"):
+        raise ConfigError("learn_noise needs a model with a noise slot; "
+                          "%s has none" % model.kind)
     dim = model.theta_dim
     q0 = init_q(model, cfg)
     seqs = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -165,7 +168,7 @@ def train(model, data, prior, cfg: TrainConfig):
 
     w = np.concatenate([q0.mu, q0.log_var])
     if cfg.learn_noise:
-        w = np.concatenate([w, [getattr(model, "log_sigma2", 0.0)]])
+        w = np.concatenate([w, [model.log_sigma2]])
     if cfg.learn_prior:
         mv = nat_to_meanvar(prior)
         w = np.concatenate([w, mv.mu, np.log(mv.var)])

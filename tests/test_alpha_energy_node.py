@@ -32,7 +32,7 @@ def _problem(kind, learn_prior, seed, n_data=40, B=7, K=6, d=2):
         model = lk.LinearRegression(d, 0.7)
         y = rng.normal(size=B)
     else:
-        model = lk.MLPRegression(d, 3, learn_noise=True)
+        model = lk.MLPRegression(d, 3)
         y = rng.normal(size=B)
         hyper = 0.2
     dim = model.theta_dim

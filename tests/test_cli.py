@@ -265,6 +265,29 @@ def test_unknown_model_kind_exits_2(runner, tmp_path):
     _assert_one_line_exit(result, 2, "unknown model kind 'nope'")
 
 
+@pytest.mark.parametrize("model, needle", [
+    ({"kind": "linreg", "sigam2": 0.1}, "unknown model key(s) for linreg: sigam2"),
+    ({"kind": "mlp_regression", "learn_noise": True},
+     "unknown model key(s) for mlp_regression: learn_noise"),
+], ids=["linreg_typo", "mlp_learn_noise"])
+def test_unknown_model_key_exits_2(runner, tmp_path, model, needle):
+    path = _tiny_train_config(tmp_path, model=model)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, needle)
+
+
+def test_learn_noise_on_linreg_exact_exits_2(runner, tmp_path):
+    # linreg has a fixed sigma2 and no noise slot to learn
+    path = _tiny_train_config(
+        tmp_path, dataset={"kind": "toy_cubic", "seed": 0, "n": 40},
+        model={"kind": "linreg", "sigma2": 0.1},
+        train={"alpha": 0.5, "energy_mode": "exact", "learn_noise": True,
+               "epochs": 5, "learning_rate": 0.05})
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, "learn_noise needs a model with a noise "
+                                     "slot; linreg has none")
+
+
 def test_unknown_train_key_exits_2(runner, tmp_path):
     path = _tiny_train_config(tmp_path)
     cfg = yaml.safe_load(open(path, encoding="utf-8"))
@@ -369,9 +392,12 @@ def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
     ({"epochs": "2"}, "train epochs must be int, not '2'"),
     ({"k_samples": 2.5}, "train k_samples must be int, not 2.5"),
     (["alpha", 0.5], "train section must be a mapping, not list"),
+    ({"learn_noise": True}, "learn_noise needs a model with a noise slot; "
+                            "probit has none"),
 ], ids=["alpha_0", "alpha_n", "optimizer", "energy_mode", "exact_probit",
         "exact_vb", "batch_size_0", "refresh_every_0", "learning_rate_str",
-        "epochs_str", "k_samples_float", "train_not_mapping"])
+        "epochs_str", "k_samples_float", "train_not_mapping",
+        "learn_noise_probit"])
 def test_bad_train_setting_exits_2(runner, tmp_path, train, needle):
     path = _tiny_train_config(tmp_path)
     cfg = yaml.safe_load(open(path, encoding="utf-8"))

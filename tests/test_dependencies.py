@@ -83,3 +83,25 @@ def test_every_import_is_a_declared_dependency():
                 undeclared.add((path.name, name))
     assert not undeclared
     assert "scipy" not in declared
+
+
+def _bbalpha_imports(path):
+    """Every bbalpha submodule a file imports, at any depth of its tree."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                yield alias.name
+        elif isinstance(stmt, ast.ImportFrom):
+            base = "bbalpha" if stmt.level else ""
+            module = ".".join(p for p in (base, stmt.module) if p)
+            yield module
+            for alias in stmt.names:
+                yield module + "." + alias.name
+
+
+def test_energy_does_not_import_the_oracle():
+    # the oracle is the dense reference the energy code is checked against
+    imports = set(_bbalpha_imports(SRC / "bbalpha" / "energy.py"))
+    assert "bbalpha.expfam" in imports
+    assert not {m for m in imports if m.startswith("bbalpha.oracle")}

@@ -6,8 +6,8 @@ from scipy import special
 
 from bbalpha import autodiff as ad
 from bbalpha import likelihoods as lk
-from bbalpha.errors import (ClassOutOfRange, MissingColumn, NonPositiveNoise,
-                            ParseError, ShapeMismatch)
+from bbalpha.errors import (ClassOutOfRange, ConfigError, MissingColumn,
+                            NonPositiveNoise, ParseError, ShapeMismatch)
 
 import reference_models as ref
 
@@ -99,6 +99,17 @@ def test_make_model_dispatch():
     assert lk.make_model("mlp_classification", 3, n_classes=4).n_classes == 4
     with pytest.raises(ValueError):
         lk.make_model("nope", 3)
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("probit", {"sigma2": 1.0}),
+    ("linreg", {"sigam2": 0.1}),
+    ("mlp_regression", {"learn_noise": True}),
+    ("mlp_classification", {"n_classes": 3, "n_hidden": 10}),
+])
+def test_make_model_rejects_keys_of_other_kinds(kind, kw):
+    with pytest.raises(ConfigError, match="unknown model key"):
+        lk.make_model(kind, 3, **kw)
 
 
 def test_generators_are_deterministic():

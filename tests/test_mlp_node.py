@@ -17,7 +17,7 @@ KINDS = ["mlp_regression", "mlp_classification"]
 
 def _model(kind, d=3):
     if kind == "mlp_regression":
-        return lk.MLPRegression(d, 4, learn_noise=True)
+        return lk.MLPRegression(d, 4)
     return lk.MLPClassification(d, 4, 5, 3)
 
 

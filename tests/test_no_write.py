@@ -27,7 +27,7 @@ def _problem(kind, K=6, B=7, d=3, seed=0):
         model = lk.LinearRegression(d, 0.7)
         y = rng.normal(size=B)
     elif kind == "mlp_regression":
-        model = lk.MLPRegression(d, 4, learn_noise=True)
+        model = lk.MLPRegression(d, 4)
         y = rng.normal(size=B)
         hyper = np.array([0.2])
     else:

@@ -149,7 +149,7 @@ def test_train_vb_and_tiny_alpha_agree():
 
 def test_train_learn_noise_moves_hyper():
     data, _ = _linreg_problem()
-    model = lk.MLPRegression(2, 4, log_sigma2=0.0, learn_noise=True)
+    model = lk.MLPRegression(2, 4, log_sigma2=0.0)
     cfg = TrainConfig(alpha=0.5, k_samples=20, batch_size=16, epochs=30,
                       learning_rate=0.02, learn_noise=True, seed=0)
     _, hypers, _ = train(model, data, default_prior(model.theta_dim), cfg)
