@@ -9,11 +9,81 @@ CDF share one numpy kernel of Cody's rational approximations.
 
 The gradients that :func:`value_and_grad` returns are fresh, writable arrays:
 they share no memory with each other, with the inputs or with the tape.
+
+Inside a :func:`reuse_buffers` block, the fused nodes take their large arrays
+from :func:`empty`, which lends them from a pool for the duration of one
+:func:`value_and_grad` call: a node's values then live until that call
+returns or raises, and the next evaluation writes into the same memory.  The
+value and the gradients the call returns are still fresh.  Outside such a
+call, :func:`empty` is ``np.empty``.
 """
+
+import math
+import mmap
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import NonFiniteIntermediate
+
+
+class _Buffers(threading.local):
+    """Per-thread state of reuse_buffers: the free buffers, keyed by
+    (shape, dtype), while a block is open, and the (key, buffer) pairs lent
+    to the value_and_grad call running inside it."""
+
+    free = None
+    lent = None
+
+
+_buffers = _Buffers()
+
+
+@contextmanager
+def reuse_buffers():
+    """Lend each evaluation's arrays from one pool for the whole block.
+
+    Every step of a training loop allocates arrays of the same shapes; kept
+    in a pool, they stay mapped, where freed ones are handed back to the
+    operating system and faulted in again by the next step.  A nested block
+    uses the outer block's pool; the pool is dropped when the outermost
+    block exits.
+    """
+    if _buffers.free is not None:
+        yield
+        return
+    _buffers.free = {}
+    try:
+        yield
+    finally:
+        _buffers.free = None
+
+
+def _mapped(shape, dtype):
+    """A pool buffer in an anonymous mapping of its own.  Outside the heap,
+    it leaves no hole there for later allocations to miss, and its memory
+    goes back to the operating system as soon as the pool drops it."""
+    count = math.prod(shape)
+    mapping = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(mapping, dtype, count).reshape(shape)
+
+
+def empty(shape, dtype=float):
+    """An uninitialized array, like ``np.empty(shape, dtype)``.
+
+    Inside a reuse_buffers block and a value_and_grad call, it is a buffer of
+    the pool that no other request of the same evaluation holds, and it goes
+    back to the pool when the call returns or raises.
+    """
+    lent = _buffers.lent
+    if lent is None:
+        return np.empty(shape, dtype)
+    key = (shape, np.dtype(dtype))
+    free = _buffers.free.get(key)
+    buf = free.pop() if free else _mapped(shape, key[1])
+    lent.append((key, buf))
+    return buf
 
 
 class Tape:
@@ -191,12 +261,12 @@ def _logsumexp_keepdims(a, axis):
     if a.ndim == 0:
         return _logsumexp_keepdims(a.reshape(1), axis).reshape(())
     a_max = a.max(axis=axis, keepdims=True)
-    tied = a == a_max
+    tied = np.equal(a, a_max, out=empty(a.shape, bool))
     m = tied.sum(axis=axis, keepdims=True, dtype=float)
     # in a slice of -inf entries, -inf - -inf is NaN; every such entry is a
     # tied maximum and is zeroed below, so the slice gives -inf as in scipy
     with np.errstate(invalid="ignore"):
-        e = a - a_max
+        e = np.subtract(a, a_max, out=empty(a.shape))
         np.exp(e, out=e)
     e[tied] = 0.0
     s = e.sum(axis=axis, keepdims=True)
@@ -436,8 +506,23 @@ def _backward(out):
 def value_and_grad(f, at):
     """Evaluate scalar expression f(*slots) and its gradient per slot.
 
-    `at` is a sequence of arrays; returns (value, [grad per slot]).
+    `at` is a sequence of arrays; returns (value, [grad per slot]).  Inside
+    a reuse_buffers block, the arrays the nodes took from :func:`empty` go
+    back to the pool when this returns or raises.
     """
+    free = _buffers.free
+    if free is None:
+        return _evaluate(f, at)
+    outer, _buffers.lent = _buffers.lent, []
+    try:
+        return _evaluate(f, at)
+    finally:
+        for key, buf in _buffers.lent:
+            free.setdefault(key, []).append(buf)
+        _buffers.lent = outer
+
+
+def _evaluate(f, at):
     tape = Tape()
     leaves = [Var(np.asarray(a, dtype=float), tape) for a in at]
     out = f(*leaves)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .energy import AlphaParam, bbalpha_energy_mc
 
 
@@ -45,6 +46,8 @@ class BiasReport:
                          % (r.alpha, r.k, r.bias_raw, r.bias_net, r.grad_std))
 
 
+# the cells repeat evaluations of a few shapes: a pool lends their arrays
+@ad.reuse_buffers()
 def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
                         n_repeats=1000, k_truth=10000, batch_size=32, seed=0,
                         hyper=None) -> BiasReport:

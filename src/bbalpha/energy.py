@@ -65,7 +65,7 @@ def _log_partition(mu, log_var, inv_var):
 def _reparam(mu, log_var, eps):
     """theta = mu + exp(log_var / 2) * eps as one (K, dim) node."""
     sd = np.exp(0.5 * ad._val(log_var))
-    theta = eps * sd
+    theta = np.multiply(eps, sd, out=ad.empty(eps.shape))
     theta += ad._val(mu)
     return ad.node(theta, "reparam",
                    (mu, lambda g: g.sum(axis=0)),
@@ -95,11 +95,13 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     l2 = 0.5 * (iv0 - ivq) / n_data
     if alpha is not None and (-0.5 * ivq - alpha * l2 >= 0.0).any():
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
-    th2 = th * th
-    delta = ll - (th @ l1 + th2 @ l2)[:, None]
+    th2 = np.multiply(th, th, out=ad.empty(th.shape))
+    delta = np.subtract(ll, (th @ l1 + th2 @ l2)[:, None],
+                        out=ad.empty(ll.shape))
     logZ_diff = _log_partition(pm, plv, iv0) - _log_partition(m, lv, ivq)
     if alpha is None:
-        w = np.full((K, B), 1.0 / K)
+        w = ad.empty((K, B))
+        w.fill(1.0 / K)
         value = logZ_diff - (n_data / B) * (delta.sum() / K)
     else:
         w = np.multiply(alpha, delta, out=delta)

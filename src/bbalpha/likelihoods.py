@@ -130,14 +130,15 @@ class LinearRegression:
         y - Theta X^T; value and VJP -2 (-g / (2 sigma2)) resid X round
         exactly as the op-by-op tape expression does."""
         X = np.asarray(X, float)
-        resid = ad._val(Theta) @ X.T
+        Tv = ad._val(Theta)
+        resid = np.matmul(Tv, X.T, out=ad.empty(Tv.shape[:-1] + X.shape[:1]))
         np.subtract(np.asarray(y, float)[None, :], resid, out=resid)
-        out = resid * resid
+        out = np.multiply(resid, resid, out=ad.empty(resid.shape))
         out /= 2 * self.sigma2
         np.subtract(-0.5 * np.log(2 * np.pi * self.sigma2), out, out=out)
 
         def vjp(g):
-            t = g / (-2 * self.sigma2)
+            t = np.divide(g, -2 * self.sigma2, out=ad.empty(resid.shape))
             t *= resid
             t *= -2.0
             return t @ X
@@ -167,7 +168,7 @@ def mlp(Theta, X, layer_dims):
         off = b_sl.stop
         W = Tv[:, w_sl].reshape(K, nout, nin)
         layers.append((W, w_sl, b_sl, A))
-        A = np.matmul(W, A)
+        A = np.matmul(W, A, out=ad.empty((K, nout, A.shape[-1])))
         A += Tv[:, b_sl].reshape(K, nout, 1)
         if i < len(layer_dims) - 1:
             np.maximum(A, 0.0, out=A)
@@ -176,15 +177,16 @@ def mlp(Theta, X, layer_dims):
                             % (off, Tv.shape[1]))
 
     def vjp(G):
-        dT = np.empty(Tv.shape)         # C order: the slices reshape as views
+        dT = ad.empty(Tv.shape)         # C order: the slices reshape as views
         for i in range(len(layers) - 1, -1, -1):
             W, w_sl, b_sl, A_prev = layers[i]
             np.matmul(G, np.swapaxes(A_prev, -1, -2),
                       out=dT[:, w_sl].reshape(W.shape))
             np.sum(G, axis=2, out=dT[:, b_sl])
             if i:
-                # a fresh array, masked in place; A_prev > 0 where its Z > 0
-                G = np.matmul(np.swapaxes(W, -1, -2), G)
+                # a buffer of its own, masked in place; A_prev > 0 where Z > 0
+                G = np.matmul(np.swapaxes(W, -1, -2), G,
+                              out=ad.empty(A_prev.shape))
                 G *= A_prev > 0.0
         return dT
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .energy import AlphaParam, bbalpha_energy_exact_grad, bbalpha_energy_mc
 from .errors import (ConfigError, DivergenceDetected, ImproperCavity,
                      NonFiniteIntermediate)
@@ -56,7 +57,7 @@ class TrainConfig:
                self.refresh_every) < 1:
             raise ConfigError("epochs, k_samples, batch_size and "
                               "refresh_every must be >= 1")
-        if self.batch_size > n_data:
+        if self.energy_mode == "mc" and self.batch_size > n_data:
             raise ConfigError("batch_size exceeds dataset size")
         if self.optimizer == "sgd" and (self.sgd_a <= 0 or self.sgd_b <= 0):
             raise ConfigError("SGD schedule requires a, b > 0")
@@ -142,6 +143,9 @@ def _split_slots(w, dim, learn_noise, learn_prior):
     return FactorizedGaussian(mu, log_var), hyper, prior
 
 
+# every step allocates (K, .) arrays of the same shapes: a pool lends them,
+# where freed ones would go back to the operating system after each step
+@ad.reuse_buffers()
 def train(model, data, prior, cfg: TrainConfig):
     """Run the training loop; returns (q, hyper dict, TrainTrace).
 

@@ -288,6 +288,17 @@ def test_learn_noise_on_linreg_exact_exits_2(runner, tmp_path):
                                      "slot; linreg has none")
 
 
+def test_exact_mode_ignores_batch_size(runner, tmp_path):
+    # 18 training rows against the default batch_size of 32, which the
+    # exact energy never uses
+    path = _tiny_train_config(
+        tmp_path, dataset={"kind": "toy_cubic", "seed": 0, "n": 20},
+        model={"kind": "linreg", "sigma2": 9.0},
+        train={"alpha": 0.5, "energy_mode": "exact", "epochs": 5})
+    result = runner.invoke(cli.main, ["train", path])
+    assert result.exit_code == 0, result.output
+
+
 def test_unknown_train_key_exits_2(runner, tmp_path):
     path = _tiny_train_config(tmp_path)
     cfg = yaml.safe_load(open(path, encoding="utf-8"))
@@ -387,6 +398,7 @@ def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
     ({"energy_mode": "exact"}, "exact energy requires a conjugate linreg model"),
     ({"energy_mode": "exact", "alpha": "vb"}, "'exact' needs a numeric alpha"),
     ({"batch_size": 0}, "batch_size and refresh_every must be >= 1"),
+    ({"batch_size": 55}, "batch_size exceeds dataset size"),
     ({"refresh_every": 0}, "batch_size and refresh_every must be >= 1"),
     ({"learning_rate": "abc"}, "train learning_rate must be float, not 'abc'"),
     ({"epochs": "2"}, "train epochs must be int, not '2'"),
@@ -395,7 +407,7 @@ def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
     ({"learn_noise": True}, "learn_noise needs a model with a noise slot; "
                             "probit has none"),
 ], ids=["alpha_0", "alpha_n", "optimizer", "energy_mode", "exact_probit",
-        "exact_vb", "batch_size_0", "refresh_every_0", "learning_rate_str",
+        "exact_vb", "batch_size_0", "batch_size_55", "refresh_every_0", "learning_rate_str",
         "epochs_str", "k_samples_float", "train_not_mapping",
         "learn_noise_probit"])
 def test_bad_train_setting_exits_2(runner, tmp_path, train, needle):

@@ -4,7 +4,8 @@ The tracemalloc peak of one `bbalpha_energy_mc` call, counted in (K, B)
 arrays for linear regression at K = 10,000 and in (K, P) arrays for the
 three-class MLP: each evaluation allocates only the (K, .) arrays it keeps
 and a few transient ones.  The caller's draws and data are allocated
-before tracing starts, so they do not count.
+before tracing starts, so they do not count.  Inside `ad.reuse_buffers` a
+second evaluation takes those arrays from the pool the first one filled.
 """
 
 import gc
@@ -13,12 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bbalpha import autodiff as ad
 from bbalpha import energy as en
 from bbalpha import likelihoods as lk
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import default_prior
 
 BUDGET = 6.0          # arrays of the problem's unit size
+POOLED_BUDGET = 1.5   # the same, for an evaluation inside reuse_buffers
 
 
 def _peak_bytes(call):
@@ -49,9 +52,8 @@ def _problem(kind, rng):
     return model, lk.Dataset(X, y), K, B, unit
 
 
-@pytest.mark.parametrize("alpha", [0.5, None])
-@pytest.mark.parametrize("kind", ["linreg", "mlp_classification"])
-def test_one_evaluation_stays_within_budget(kind, alpha):
+def _evaluation(kind, alpha):
+    """(one MC evaluation as a call, bytes of one unit array)."""
     rng = np.random.default_rng(0)
     model, data, K, B, unit = _problem(kind, rng)
     dim = model.theta_dim
@@ -60,7 +62,28 @@ def test_one_evaluation_stays_within_budget(kind, alpha):
     eps = rng.standard_normal((K, dim))
     a = None if alpha is None else en.AlphaParam(alpha, data.n)
     batch = np.arange(B)
+    return (lambda: en.bbalpha_energy_mc(q, prior, model, data, batch, a,
+                                         eps)), unit
 
-    peak = _peak_bytes(lambda: en.bbalpha_energy_mc(q, prior, model, data,
-                                                    batch, a, eps))
+
+@pytest.mark.parametrize("alpha", [0.5, None])
+@pytest.mark.parametrize("kind", ["linreg", "mlp_classification"])
+def test_one_evaluation_stays_within_budget(kind, alpha):
+    call, unit = _evaluation(kind, alpha)
+    peak = _peak_bytes(call)
     assert peak <= BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
+
+
+@pytest.mark.parametrize("alpha", [0.5, None])
+@pytest.mark.parametrize("kind", ["linreg", "mlp_classification"])
+def test_a_pooled_evaluation_stays_within_budget(kind, alpha, monkeypatch):
+    call, unit = _evaluation(kind, alpha)
+    with ad.reuse_buffers():
+        call()
+        # pool buffers are mappings tracemalloc does not see: the second
+        # evaluation must take every one of them from the pool
+        mapped = []
+        monkeypatch.setattr(ad, "_mapped", lambda *a: mapped.append(a))
+        peak = _peak_bytes(call)
+    assert not mapped
+    assert peak <= POOLED_BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
