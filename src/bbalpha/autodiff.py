@@ -141,9 +141,6 @@ class Var:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -212,12 +209,6 @@ def node(value, op_name, *parents):
     return Var(value, parents[0][0].tape, parents, op_name)
 
 
-def power(a, p):
-    """a ** p with a constant exponent p."""
-    av = _val(a)
-    return node(av ** p, "pow", (a, lambda g: g * p * av ** (p - 1)))
-
-
 def exp(a):
     out = np.exp(_val(a))
     return node(out, "exp", (a, lambda g: g * out))
@@ -228,11 +219,6 @@ def log(a):
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(av)
     return node(out, "log", (a, lambda g: g / av))
-
-
-def sqrt(a):
-    out = np.sqrt(_val(a))
-    return node(out, "sqrt", (a, lambda g: g * 0.5 / out))
 
 
 def relu(a):

@@ -4,12 +4,12 @@ Subcommands: train, bias, analytic, toy-predictive, gen-toy, divergence.
 Configuration is a single YAML file (nested key/value sections); outputs are
 UTF-8 CSV with headers, JSON run reports and a versioned text posterior
 format.  Exit codes: 0 success, 2 config error, 3 numerical divergence,
-4 IO error.
+4 IO error.  Commands only raise: the error class sets the code, and the
+command group's `invoke` is the one place that exits with it.
 """
 
 import dataclasses
 import json
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,8 +20,7 @@ import yaml
 from . import likelihoods as lk
 from . import oracle, predict
 from .diagnostics import gradient_bias_study
-from .errors import (BBAlphaError, ConfigError, DivergenceDetected,
-                     MissingColumn, ParseError)
+from .errors import BBAlphaError, ConfigError, ParseError, UndefinedDivergence
 from .expfam import FactorizedGaussian
 from .optim import TrainConfig, default_prior, train
 
@@ -39,7 +38,7 @@ def load_posterior(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if " ".join(header[:2]) != POSTERIOR_HEADER:
-            raise BBAlphaError("%s: not a posterior file" % path)
+            raise ParseError("%s: not a posterior file" % path)
         if len(header) != 3 or not header[2].isdigit():
             raise ParseError("%s: bad dimension in header %r"
                              % (path, " ".join(header)))
@@ -60,96 +59,121 @@ def load_posterior(path):
 
 
 def _load_config(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
+    """The YAML mapping at `path`; its `dataset` and `model` are required."""
+    with open(path, encoding="utf-8") as fh:
+        try:
             cfg = yaml.safe_load(fh)
-    except OSError as e:
-        click.echo("config IO error: %s" % e, err=True)
-        sys.exit(4)
-    except yaml.YAMLError as e:
-        click.echo("config parse error: %s" % e, err=True)
-        sys.exit(2)
+        except yaml.YAMLError as e:
+            raise ConfigError("%s: %s" % (path, e)) from None
     if not isinstance(cfg, dict):
-        click.echo("config %s: expected a mapping" % path, err=True)
-        sys.exit(2)
+        raise ConfigError("config %s: expected a mapping" % path)
+    for name in ("dataset", "model"):
+        if name not in cfg:
+            raise ConfigError("config missing section %r" % name)
     return cfg
 
 
-def _required(section, cfg, key):
-    if key not in cfg:
+def _section(cfg, name):
+    """The mapping under `name`; an absent or empty section is {}."""
+    section = cfg.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError("%s section must be a mapping, not %s"
+                          % (name, type(section).__name__))
+    return section
+
+
+def _read(section, cfg, key, kind, default=None, low=None):
+    """`section.key` from the mapping `cfg` as `kind`: required when
+    `default` is None, a list of `kind` when `default` is a list.  Numbers,
+    and strings such as YAML's unquoted 1e-3, widen to float; `object` (the
+    train alpha) is a float or 'vb'.  With `low`, smaller values are rejected."""
+    if key not in cfg and default is None:
         raise ConfigError("missing required key %s.%s" % (section, key))
-    return cfg[key]
+    value = cfg.get(key, default)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError("%s %s must be a list, not %r" % (section, key, value))
+        return [_read(section, {key: v}, key, kind, low=low) for v in value]
+    if kind is object and value == "vb":
+        return value
+    ok = kind is bool or not isinstance(value, bool)
+    if ok and kind in (float, object):
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            ok = False
+    elif ok:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError("%s %s must be %s, not %r" % (
+            section, key, "a number or 'vb'" if kind is object else kind.__name__,
+            value))
+    if low is not None and not value >= low:
+        raise ConfigError("%s %s must be >= %s, not %r" % (section, key, low, value))
+    return value
+
+
+def _floats(option, text):
+    """A comma-separated list of numbers given on the command line."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError("%s must be comma-separated numbers, not %r"
+                          % (option, text)) from None
 
 
 def _build_dataset(dcfg):
-    kind = dcfg.get("kind", "csv")
-    seed = int(dcfg.get("seed", 0))
+    kind = _read("dataset", dcfg, "kind", str, "csv")
+    seed = _read("dataset", dcfg, "seed", int, 0, low=0)
     if kind == "csv":
-        schema = lk.CsvSchema(target=_required("dataset", dcfg, "target"),
+        schema = lk.CsvSchema(target=_read("dataset", dcfg, "target", str),
                               task=dcfg.get("task", "regression"),
                               feature_columns=dcfg.get("feature_columns"))
-        return lk.load_csv(_required("dataset", dcfg, "path"), schema)
+        return lk.load_csv(_read("dataset", dcfg, "path", str), schema)
     if kind == "toy_cubic":
-        return lk.gen_toy_cubic(seed, n=int(dcfg.get("n", 20)))
+        return lk.gen_toy_cubic(seed, n=_read("dataset", dcfg, "n", int, 20, low=1))
     if kind == "synthetic_probit":
-        return lk.gen_synthetic_probit(seed, n=int(dcfg.get("n", 200)),
-                                       d=int(dcfg.get("d", 4)))
+        return lk.gen_synthetic_probit(
+            seed, n=_read("dataset", dcfg, "n", int, 200, low=1),
+            d=_read("dataset", dcfg, "d", int, 4, low=1))
     if kind == "three_class":
-        return lk.gen_three_class(seed, n=int(dcfg.get("n", 120)))
+        return lk.gen_three_class(seed, n=_read("dataset", dcfg, "n", int, 120, low=1))
     raise ConfigError("unknown dataset kind %r" % kind)
 
 
 def _build_model(mcfg, n_features):
     kw = {k: v for k, v in mcfg.items() if k != "kind"}
-    return lk.make_model(_required("model", mcfg, "kind"), n_features, **kw)
-
-
-def _train_value(key, value, kind):
-    """A `train:` value as its TrainConfig field type.  Numbers, and strings
-    such as YAML's unquoted 1e-3, widen to float; alpha is a float or 'vb'."""
-    if key == "alpha" and value == "vb":
-        return value
-    if kind in (float, object):
-        if not isinstance(value, bool):
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                pass
-    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise ConfigError("train %s must be %s, not %r" % (
-        key, "a number or 'vb'" if kind is object else kind.__name__, value))
+    return lk.make_model(_read("model", mcfg, "kind", str), n_features, **kw)
 
 
 def _train_config(tcfg):
-    tcfg = {} if tcfg is None else tcfg
-    if not isinstance(tcfg, dict):
-        raise ConfigError("train section must be a mapping, not %s"
-                          % type(tcfg).__name__)
     kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     unknown = sorted(str(k) for k in tcfg if k not in kinds)
     if unknown:
         raise ConfigError("unknown train key(s): %s" % ", ".join(unknown))
-    return TrainConfig(**{k: _train_value(k, v, kinds[k])
-                          for k, v in tcfg.items()})
+    return TrainConfig(**{k: _read("train", tcfg, k, kinds[k]) for k in tcfg})
 
 
 def _run_split(args):
     (split_idx, cfg, seed) = args
-    dataset = _build_dataset(cfg["dataset"])
-    mcfg = cfg["model"]
-    ex = cfg.get("experiment", {})
-    frac = float(ex.get("train_fraction", 0.9))
-    metrics_k = int(ex.get("metrics_k", 100))
+    dataset = _build_dataset(_section(cfg, "dataset"))
+    ex = _section(cfg, "experiment")
+    frac = _read("experiment", ex, "train_fraction", float, 0.9)
+    metrics_k = _read("experiment", ex, "metrics_k", int, 100, low=1)
+    n_train = int(round(frac * dataset.n)) if 0.0 < frac < 1.0 else 0
+    if not 0 < n_train < dataset.n:
+        raise ConfigError("experiment train_fraction %r leaves an empty split "
+                          "of the %d rows" % (frac, dataset.n))
 
     rng = np.random.default_rng([seed, split_idx])
     perm = rng.permutation(dataset.n)
-    n_train = int(round(frac * dataset.n))
     tr, te = dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
     tr, te = lk.standardize_train_test(tr, te)
 
-    model = _build_model(mcfg, tr.d)
-    tconf = _train_config(cfg.get("train"))
+    model = _build_model(_section(cfg, "model"), tr.d)
+    tconf = _train_config(_section(cfg, "train"))
     tconf.seed = int(np.random.default_rng([seed, split_idx, 7]).integers(2 ** 31))
     q, hypers, trace = train(model, tr, default_prior(model.theta_dim), tconf)
 
@@ -181,38 +205,25 @@ def _run_split(args):
 
 
 def cmd_train(config_path, out_dir=None):
-    """Run the full split/train/evaluate pipeline; returns the report dict."""
+    """Run the full split/train/evaluate pipeline; returns the report dict.
+    A failure raises BBAlphaError or OSError, whose class sets the exit code."""
     import pathlib
 
     cfg = _load_config(config_path)
-    for section in ("dataset", "model"):
-        if section not in cfg:
-            click.echo("config missing section %r" % section, err=True)
-            sys.exit(2)
-    ex = cfg.get("experiment", {})
-    n_splits = int(ex.get("n_splits", 1))
-    seed = int(ex.get("seed", 0))
-    workers = int(ex.get("workers", 1))
-    out = pathlib.Path(out_dir or ex.get("output_dir", "."))
+    ex = _section(cfg, "experiment")
+    n_splits = _read("experiment", ex, "n_splits", int, 1, low=1)
+    seed = _read("experiment", ex, "seed", int, 0, low=0)
+    workers = _read("experiment", ex, "workers", int, 1, low=1)
+    out = pathlib.Path(out_dir or _read("experiment", ex, "output_dir", str, "."))
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     jobs = [(i, cfg, seed) for i in range(n_splits)]
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_split, jobs))
-        else:
-            results = [_run_split(j) for j in jobs]
-    except (ConfigError, MissingColumn) as e:
-        click.echo("config error: %s" % e, err=True)
-        sys.exit(2)
-    except DivergenceDetected as e:
-        click.echo("divergence: %s" % e, err=True)
-        sys.exit(3)
-    except (OSError, ParseError) as e:
-        click.echo("IO error: %s" % e, err=True)
-        sys.exit(4)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_split, jobs))
+    else:
+        results = [_run_split(j) for j in jobs]
 
     results.sort(key=lambda r: r["split"])
     lls = np.array([r["test_ll"] for r in results])
@@ -230,24 +241,34 @@ def cmd_train(config_path, out_dir=None):
         "se_test_error": se(errs),
         "wall_time_s": time.perf_counter() - t0,
     }
-    try:
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
-            fh.write("split,test_ll,test_error,final_energy\n")
-            for r in results:
-                fh.write("%d,%.10g,%.10g,%.10g\n"
-                         % (r["split"], r["test_ll"], r["test_error"],
-                            r["final_energy"]))
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
+        fh.write("split,test_ll,test_error,final_energy\n")
         for r in results:
-            save_posterior(r["q"], out / ("posterior_split%03d.txt" % r["split"]))
-    except OSError as e:
-        click.echo("IO error: %s" % e, err=True)
-        sys.exit(4)
+            fh.write("%d,%.10g,%.10g,%.10g\n"
+                     % (r["split"], r["test_ll"], r["test_error"],
+                        r["final_energy"]))
+    for r in results:
+        save_posterior(r["q"], out / ("posterior_split%03d.txt" % r["split"]))
     return report
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Every command's errors end here: the error class gives the exit code
+    (`BBAlphaError.exit_code`, 4 for `OSError`) and the user one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (BBAlphaError, OSError) as e:
+            code = e.exit_code if isinstance(e, BBAlphaError) else 4
+            label = {2: "config error", 3: "divergence", 4: "IO error"}[code]
+            click.echo("%s: %s" % (label, " ".join(str(e).split())), err=True)
+            ctx.exit(code)
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Alpha-divergence minimization experiments."""
 
@@ -269,31 +290,21 @@ def train_cmd(config_path, out_dir):
 def bias_cmd(config_path, out):
     """Gradient bias/variance study; one CSV row per (alpha, K) cell."""
     cfg = _load_config(config_path)
-    try:
-        dataset = _build_dataset(cfg["dataset"])
-        model = _build_model(cfg["model"], dataset.d)
-        tconf = _train_config(cfg.get("train"))
-        q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
-        b = cfg.get("bias", {})
-        report = gradient_bias_study(
-            model, dataset, q, default_prior(model.theta_dim),
-            alphas=[float(a) for a in b.get("alphas", [1.0, 0.5])],
-            ks=[int(k) for k in b.get("ks", [1, 5, 10])],
-            n_minibatches=int(b.get("n_minibatches", 15)),
-            n_repeats=int(b.get("n_repeats", 1000)),
-            k_truth=int(b.get("k_truth", 10000)),
-            batch_size=int(b.get("batch_size", 32)),
-            seed=int(b.get("seed", 0)),
-            hyper=hypers.get("log_sigma2"))
-    except DivergenceDetected as e:
-        click.echo("divergence: %s" % e, err=True)
-        sys.exit(3)
-    except (KeyError, ValueError, MissingColumn) as e:
-        click.echo("config error: %s" % e, err=True)
-        sys.exit(2)
-    except (OSError, ParseError) as e:
-        click.echo("IO error: %s" % e, err=True)
-        sys.exit(4)
+    dataset = _build_dataset(_section(cfg, "dataset"))
+    model = _build_model(_section(cfg, "model"), dataset.d)
+    tconf = _train_config(_section(cfg, "train"))
+    q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
+    b = _section(cfg, "bias")
+    report = gradient_bias_study(
+        model, dataset, q, default_prior(model.theta_dim),
+        alphas=_read("bias", b, "alphas", float, [1.0, 0.5]),
+        ks=_read("bias", b, "ks", int, [1, 5, 10]),
+        n_minibatches=_read("bias", b, "n_minibatches", int, 15),
+        n_repeats=_read("bias", b, "n_repeats", int, 1000),
+        k_truth=_read("bias", b, "k_truth", int, 10000),
+        batch_size=_read("bias", b, "batch_size", int, 32),
+        seed=_read("bias", b, "seed", int, 0, low=0),
+        hyper=hypers.get("log_sigma2"))
     report.to_csv(out)
     ks = sorted({r.k for r in report.rows})
     ok = all(report.cell(a, ks[i]).bias_net >= report.cell(a, ks[i + 1]).bias_net
@@ -311,8 +322,6 @@ def bias_cmd(config_path, out):
 @click.option("--out", default="analytic.csv")
 def analytic_cmd(example, sigma2, alpha_min, alpha_max, steps, out):
     """Closed-form tied-site solutions over an alpha grid."""
-    from .errors import DomainError
-
     if example == "1":
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         lam_fn = oracle.example1_lambda
@@ -323,17 +332,13 @@ def analytic_cmd(example, sigma2, alpha_min, alpha_max, steps, out):
     truth = oracle.true_posterior_linreg(X, y, sigma2)
     true_var = float(truth.cov[0, 0])
     grid = np.linspace(alpha_min, alpha_max, steps)
-    try:
-        rows = []
-        for a in grid:
-            lam = lam_fn(a, sigma2)
-            q_var = 1.0 / (1.0 + 2.0 * lam)
-            q_dist = oracle.GaussianDist(np.zeros(2), q_var * np.eye(2))
-            kl = oracle.kl_divergence(q_dist, truth)
-            rows.append((a, lam, q_var, true_var, kl))
-    except DomainError as e:
-        click.echo("domain error: %s" % e, err=True)
-        sys.exit(2)
+    rows = []
+    for a in grid:
+        lam = lam_fn(a, sigma2)
+        q_var = 1.0 / (1.0 + 2.0 * lam)
+        q_dist = oracle.GaussianDist(np.zeros(2), q_var * np.eye(2))
+        kl = oracle.kl_divergence(q_dist, truth)
+        rows.append((a, lam, q_var, true_var, kl))
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("alpha,lambda,q_variance,true_variance,kl_to_truth\n")
         for r in rows:
@@ -367,12 +372,8 @@ def run_toy_predictive(alphas, seed, epochs=600, k_samples=50, n_hidden=100,
 @click.option("--out", default="toy_predictive.csv")
 def toy_predictive_cmd(alphas, seed, epochs, out):
     """Predictive mean/std on the cubic toy task for several alphas."""
-    alpha_list = [float(a) for a in alphas.split(",")]
-    try:
-        results = run_toy_predictive(alpha_list, seed, epochs=epochs)
-    except DivergenceDetected as e:
-        click.echo("divergence: %s" % e, err=True)
-        sys.exit(3)
+    alpha_list = _floats("--alphas", alphas)
+    results = run_toy_predictive(alpha_list, seed, epochs=epochs)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("alpha,x,pred_mean,pred_std\n")
         for a in alpha_list:
@@ -406,11 +407,8 @@ def gen_toy_cmd(seed, out):
 @click.option("--out", default="divergence.csv")
 def divergence_cmd(mu1, var1, mu2, var2, alpha_min, alpha_max, steps, out):
     """Tabulate D_alpha between two diagonal Gaussians over an alpha grid."""
-    parse = lambda s: np.array([float(v) for v in s.split(",")])
-    p = oracle.GaussianDist(parse(mu1), np.diag(parse(var1)))
-    q = oracle.GaussianDist(parse(mu2), np.diag(parse(var2)))
-    from .errors import UndefinedDivergence
-
+    p = oracle.GaussianDist(_floats("--mu1", mu1), np.diag(_floats("--var1", var1)))
+    q = oracle.GaussianDist(_floats("--mu2", mu2), np.diag(_floats("--var2", var2)))
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("alpha,divergence\n")
         for a in np.linspace(alpha_min, alpha_max, steps):

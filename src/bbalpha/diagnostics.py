@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .energy import AlphaParam, bbalpha_energy_mc
+from .errors import ConfigError
 
 
 @dataclass
@@ -57,6 +58,9 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
     epsilon draws are fixed across (K, alpha) cells so columns are
     comparable.
     """
+    if min(min(ks, default=0), n_minibatches, n_repeats, k_truth, batch_size) < 1:
+        raise ConfigError("ks (non-empty), n_minibatches, n_repeats, k_truth "
+                          "and batch_size must be >= 1")
     rng = np.random.default_rng(seed)
     n = data.n
     batches = [rng.choice(n, size=min(batch_size, n), replace=False)

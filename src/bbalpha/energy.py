@@ -35,9 +35,9 @@ class AlphaParam:
 
     def __post_init__(self):
         if self.alpha == 0.0:
-            raise ValueError("alpha = 0 is served by the VB energy path")
+            raise ConfigError("alpha = 0 is served by the VB energy path")
         if self.alpha == self.n_data:
-            raise ValueError("alpha = N makes the site exponent degenerate")
+            raise ConfigError("alpha = N makes the site exponent degenerate")
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 
 class BBAlphaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `exit_code` is the CLI's status."""
+
+    exit_code = 2  # a configuration error, unless a subclass says otherwise
 
 
 class NonNormalizable(BBAlphaError):
@@ -65,6 +67,8 @@ class DivergenceDetected(BBAlphaError):
     tape op that first produced a non-finite value (when one did).
     """
 
+    exit_code = 3
+
     def __init__(self, message, epoch=None, step=None, op_name=None):
         super().__init__(message)
         self.epoch = epoch
@@ -74,6 +78,8 @@ class DivergenceDetected(BBAlphaError):
 
 class ParseError(BBAlphaError):
     """Input file content failed to parse; message names where."""
+
+    exit_code = 4
 
 
 class ConfigError(BBAlphaError, ValueError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, ImproperCavity, ImproperTilted,
+from .errors import (ConfigError, DomainError, ImproperCavity, ImproperTilted,
                      NoConvergence, UndefinedDivergence)
 from .expfam import FactorizedGaussian, NaturalParams
 
@@ -27,10 +27,15 @@ class GaussianDist:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.atleast_1d(np.asarray(self.mu, float)))
         object.__setattr__(self, "cov", np.atleast_2d(np.asarray(self.cov, float)))
+        if self.cov.shape != (self.mu.size, self.mu.size):
+            raise ConfigError("covariance of shape %s does not match a mean of "
+                              "length %d" % (self.cov.shape, self.mu.size))
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.cov))):
+            raise ConfigError("mean and covariance must be finite")
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
+            raise ConfigError("covariance must be symmetric")
         if np.any(np.linalg.eigvalsh(self.cov) <= 0.0):
-            raise ValueError("covariance must be positive definite")
+            raise ConfigError("covariance must be positive definite")
 
     @property
     def dim(self):

@@ -1,6 +1,10 @@
 """Command-line interface: file formats, exit codes and small end-to-end runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,3 +425,109 @@ def test_bad_train_setting_exits_2(runner, tmp_path, train, needle):
     path = _write_config(tmp_path / "cfg_bad.yaml", cfg)
     result = runner.invoke(cli.main, ["train", path])
     _assert_one_line_exit(result, 2, needle)
+
+
+_TINY_BIAS = {"alphas": [0.5], "ks": [1, 5], "n_minibatches": 2,
+              "n_repeats": 40, "k_truth": 500, "batch_size": 16}
+
+
+def _table_config(tmp_path, sections):
+    """The tiny train config with a tiny `bias` section; a mapping in
+    `sections` updates that section, anything else replaces it."""
+    cfg = yaml.safe_load(open(_tiny_train_config(tmp_path, bias=_TINY_BIAS),
+                              encoding="utf-8"))
+    for name, value in sections.items():
+        if isinstance(value, dict) and isinstance(cfg.get(name), dict):
+            cfg[name].update(value)
+        else:
+            cfg[name] = value
+    return _write_config(tmp_path / "cfg_table.yaml", cfg)
+
+
+_MISSING = "{tmp}/absent/x.csv"
+_NO_FILE = "No such file or directory"
+
+
+# argv ({cfg} is the config file, {tmp} the test's directory), config
+# section overrides, exit code, and a needle from the one stderr line
+@pytest.mark.parametrize("argv, sections, code, needle", [
+    (["toy-predictive", "--alphas", "0", "--epochs", "1"], {}, 2,
+     "alpha must not be 0"),
+    (["toy-predictive", "--alphas", "abc"], {}, 2,
+     "--alphas must be comma-separated numbers, not 'abc'"),
+    (["toy-predictive", "--alphas", "0.5", "--epochs", "0"], {}, 2,
+     "epochs, k_samples, batch_size and refresh_every must be >= 1"),
+    (["toy-predictive", "--alphas", "0.5", "--epochs", "1", "--out", _MISSING],
+     {}, 4, _NO_FILE),
+    (["gen-toy", "--out", _MISSING], {}, 4, _NO_FILE),
+    (["analytic", "--example", "1", "--steps", "3", "--out", _MISSING], {}, 4,
+     _NO_FILE),
+    (["divergence", "--steps", "3", "--out", _MISSING], {}, 4, _NO_FILE),
+    (["bias", "{cfg}", "--out", _MISSING], {}, 4, _NO_FILE),
+    (["train", "{cfg}", "--out-dir", "{cfg}/sub"], {}, 4, "IO error:"),
+    (["divergence", "--mu1", "a"], {}, 2,
+     "--mu1 must be comma-separated numbers, not 'a'"),
+    (["divergence", "--var1", "-1"], {}, 2, "covariance must be positive definite"),
+    (["divergence", "--mu1", "0,0", "--var1", "1"], {}, 2,
+     "covariance of shape (1, 1) does not match a mean of length 2"),
+    (["train", "{cfg}"], {"experiment": {"n_splits": "x"}}, 2,
+     "experiment n_splits must be int, not 'x'"),
+    (["train", "{cfg}"], {"experiment": {"seed": "x"}}, 2,
+     "experiment seed must be int, not 'x'"),
+    (["train", "{cfg}"], {"dataset": {"n": "abc"}}, 2,
+     "dataset n must be int, not 'abc'"),
+    (["train", "{cfg}"], {"dataset": 3}, 2, "dataset section must be a mapping, not int"),
+    (["train", "{cfg}"], {"model": [1]}, 2, "model section must be a mapping, not list"),
+    (["train", "{cfg}"], {"experiment": 3}, 2,
+     "experiment section must be a mapping, not int"),
+    (["train", "{cfg}"], {"model": {"kind": "linreg", "sigma2": -1}}, 2,
+     "config error: sigma2 = -1"),
+    (["train", "{cfg}"], {"dataset": {"kind": "three_class", "n": 30},
+                          "model": {"kind": "mlp_classification", "n_classes": 2,
+                                    "n_hidden1": 5, "n_hidden2": 5}}, 2,
+     "config error: labels outside [0, 2)"),
+    (["train", "{cfg}"], {"experiment": {"train_fraction": 1.0}}, 2,
+     "train_fraction 1.0 leaves an empty split"),
+    (["train", "{cfg}"], {"experiment": {"train_fraction": 0.0}}, 2,
+     "train_fraction 0.0 leaves an empty split"),
+    (["train", "{cfg}"], {"experiment": {"train_fraction": 2}}, 2,
+     "train_fraction 2.0 leaves an empty split"),
+    (["train", "{cfg}"], {"experiment": {"n_splits": 0}}, 2,
+     "experiment n_splits must be >= 1, not 0"),
+    (["train", "{cfg}"], {"experiment": {"metrics_k": 0}}, 2,
+     "experiment metrics_k must be >= 1, not 0"),
+    (["bias", "{cfg}"], {"bias": {"n_repeats": 0}}, 2, "must be >= 1"),
+    (["bias", "{cfg}"], {"bias": {"n_minibatches": 0}}, 2, "must be >= 1"),
+    (["bias", "{cfg}"], {"bias": {"ks": [0]}}, 2, "must be >= 1"),
+    (["bias", "{cfg}"], {"bias": {"k_truth": 0}}, 2, "must be >= 1"),
+], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
+        "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
+        "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
+        "n_splits_str", "experiment_seed_str", "dataset_n_str", "dataset_not_mapping",
+        "model_not_mapping", "experiment_not_mapping", "linreg_sigma2_negative",
+        "n_classes_below_labels", "train_fraction_1", "train_fraction_0",
+        "train_fraction_2", "n_splits_0", "metrics_k_0", "bias_n_repeats_0",
+        "bias_n_minibatches_0", "bias_ks_0", "bias_k_truth_0"])
+def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
+                                                code, needle):
+    cfg = _table_config(tmp_path, sections)
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+    result = runner.invoke(cli.main, argv)
+    _assert_one_line_exit(result, code, needle)
+
+
+def test_exit_codes_reach_the_shell(tmp_path):
+    # CliRunner catches SystemExit itself; a shell sees the process status
+    cfg = _tiny_train_config(tmp_path, train={"alpha": 500.0, "k_samples": 5,
+                                              "batch_size": 20, "epochs": 1})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, code, label in (
+            (["divergence", "--mu1", "a"], 2, "config error:"),
+            (["train", cfg], 3, "divergence:"),
+            (["gen-toy", "--out", str(tmp_path / "absent" / "x.csv")], 4, "IO error:")):
+        proc = subprocess.run([sys.executable, "-m", "bbalpha.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        lines = proc.stderr.strip().splitlines()
+        assert proc.returncode == code, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(label), proc.stderr

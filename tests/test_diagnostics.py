@@ -5,6 +5,7 @@ import pytest
 
 from bbalpha import likelihoods as lk
 from bbalpha.diagnostics import BiasReport, BiasRow, gradient_bias_study
+from bbalpha.errors import ConfigError
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import default_prior
 
@@ -25,6 +26,15 @@ def _small_study(**kw):
                 k_truth=2000, batch_size=16, seed=0)
     args.update(kw)
     return gradient_bias_study(model, data, q, prior, **args)
+
+
+@pytest.mark.parametrize("kw", [{"ks": []}, {"ks": [1, 0]}, {"n_minibatches": 0},
+                                {"n_repeats": 0}, {"k_truth": 0}, {"batch_size": 0}],
+                         ids=["ks_empty", "ks_0", "n_minibatches_0", "n_repeats_0",
+                              "k_truth_0", "batch_size_0"])
+def test_study_rejects_empty_counts(kw):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        _small_study(**kw)
 
 
 def test_report_has_all_cells():

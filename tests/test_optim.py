@@ -193,14 +193,18 @@ def test_divergence_guard_ignores_rise_over_near_zero_baseline():
 
 
 class _ZeroSqrtModel:
-    """log p = sqrt(theta - theta) . x: the value is 0 but the slope is
-    infinite, so the first gradient is non-finite while the energy is not."""
+    """log p = sqrt(theta - theta) . x, with sqrt a node of its own: the
+    value is 0 but the slope is infinite, so the first gradient is
+    non-finite while the energy is not."""
 
     kind = "stub"
     theta_dim = 2
 
     def batch_log_lik(self, Theta, X, y, hyper=None):
-        return ad.dot(ad.sqrt(Theta - Theta), X.T)
+        zero = Theta - Theta
+        out = np.sqrt(zero.value)
+        root = ad.node(out, "sqrt", (zero, lambda g: g * 0.5 / out))
+        return ad.dot(root, X.T)
 
 
 class _OverflowModel:

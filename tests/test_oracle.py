@@ -5,7 +5,8 @@ import pytest
 from scipy import special
 
 from bbalpha import oracle
-from bbalpha.errors import DomainError, NoConvergence, UndefinedDivergence
+from bbalpha.errors import (ConfigError, DomainError, NoConvergence,
+                            UndefinedDivergence)
 from bbalpha.oracle import GaussianDist
 
 
@@ -20,6 +21,18 @@ def test_kl_zero_iff_equal():
     q = _rand_gauss(rng, 3)
     assert oracle.kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
     assert oracle.kl_divergence(p, q) > 0.0
+
+
+@pytest.mark.parametrize("mu, cov, needle", [
+    ([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+    ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]], "positive definite"),
+    ([0.0, 0.0], [[1.0]], "does not match a mean of length 2"),
+    ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "does not match"),
+    ([np.nan], [[1.0]], "finite"),
+], ids=["asymmetric", "indefinite", "short", "not_square", "nan_mean"])
+def test_gaussian_rejects_bad_covariance(mu, cov, needle):
+    with pytest.raises(ConfigError, match=needle):
+        GaussianDist(mu, cov)
 
 
 def test_kl_closed_form_1d():
