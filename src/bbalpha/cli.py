@@ -115,6 +115,13 @@ def _read(section, cfg, key, kind, default=None, low=None):
     return value
 
 
+def _known(section, cfg, keys):
+    """Reject the keys of the mapping `cfg` that are not in `keys`."""
+    unknown = sorted(str(k) for k in cfg if k not in keys)
+    if unknown:
+        raise ConfigError("unknown %s key(s): %s" % (section, ", ".join(unknown)))
+
+
 def _floats(option, text):
     """A comma-separated list of numbers given on the command line."""
     try:
@@ -125,12 +132,15 @@ def _floats(option, text):
 
 
 def _build_dataset(dcfg):
+    _known("dataset", dcfg, ("kind", "seed", "n", "d", "path", "target", "task",
+                             "feature_columns"))
     kind = _read("dataset", dcfg, "kind", str, "csv")
     seed = _read("dataset", dcfg, "seed", int, 0, low=0)
     if kind == "csv":
-        schema = lk.CsvSchema(target=_read("dataset", dcfg, "target", str),
-                              task=dcfg.get("task", "regression"),
-                              feature_columns=dcfg.get("feature_columns"))
+        schema = lk.CsvSchema(
+            target=_read("dataset", dcfg, "target", str),
+            task=_read("dataset", dcfg, "task", str, "regression"),
+            feature_columns=_read("dataset", dcfg, "feature_columns", str, []))
         return lk.load_csv(_read("dataset", dcfg, "path", str), schema)
     if kind == "toy_cubic":
         return lk.gen_toy_cubic(seed, n=_read("dataset", dcfg, "n", int, 20, low=1))
@@ -144,15 +154,20 @@ def _build_dataset(dcfg):
 
 
 def _build_model(mcfg, n_features):
+    """The model of the `model` section, each key read with the type its
+    kind gives it (counts >= 1); `make_model` rejects keys the kind lacks."""
+    kind = _read("model", mcfg, "kind", str)
     kw = {k: v for k, v in mcfg.items() if k != "kind"}
-    return lk.make_model(_read("model", mcfg, "kind", str), n_features, **kw)
+    for key, key_kind in lk.MODEL_KEYS.get(kind, {}).items():
+        if key in kw:
+            kw[key] = _read("model", kw, key, key_kind,
+                            low=1 if key_kind is int else None)
+    return lk.make_model(kind, n_features, **kw)
 
 
 def _train_config(tcfg):
     kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(str(k) for k in tcfg if k not in kinds)
-    if unknown:
-        raise ConfigError("unknown train key(s): %s" % ", ".join(unknown))
+    _known("train", tcfg, kinds)
     return TrainConfig(**{k: _read("train", tcfg, k, kinds[k]) for k in tcfg})
 
 
@@ -211,6 +226,8 @@ def cmd_train(config_path, out_dir=None):
 
     cfg = _load_config(config_path)
     ex = _section(cfg, "experiment")
+    _known("experiment", ex, ("n_splits", "seed", "workers", "output_dir",
+                              "train_fraction", "metrics_k"))
     n_splits = _read("experiment", ex, "n_splits", int, 1, low=1)
     seed = _read("experiment", ex, "seed", int, 0, low=0)
     workers = _read("experiment", ex, "workers", int, 1, low=1)
@@ -290,11 +307,13 @@ def train_cmd(config_path, out_dir):
 def bias_cmd(config_path, out):
     """Gradient bias/variance study; one CSV row per (alpha, K) cell."""
     cfg = _load_config(config_path)
+    b = _section(cfg, "bias")
+    _known("bias", b, ("alphas", "ks", "n_minibatches", "n_repeats", "k_truth",
+                       "batch_size", "seed"))
     dataset = _build_dataset(_section(cfg, "dataset"))
     model = _build_model(_section(cfg, "model"), dataset.d)
     tconf = _train_config(_section(cfg, "train"))
     q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
-    b = _section(cfg, "bias")
     report = gradient_bias_study(
         model, dataset, q, default_prior(model.theta_dim),
         alphas=_read("bias", b, "alphas", float, [1.0, 0.5]),
@@ -318,7 +337,7 @@ def bias_cmd(config_path, out):
 @click.option("--sigma2", type=float, default=1.0)
 @click.option("--alpha-min", type=float, default=0.01)
 @click.option("--alpha-max", type=float, default=1.99)
-@click.option("--steps", type=int, default=100)
+@click.option("--steps", type=click.IntRange(min=1), default=100)
 @click.option("--out", default="analytic.csv")
 def analytic_cmd(example, sigma2, alpha_min, alpha_max, steps, out):
     """Closed-form tied-site solutions over an alpha grid."""
@@ -403,7 +422,7 @@ def gen_toy_cmd(seed, out):
 @click.option("--var2", default="1", help="Comma-separated variances of q.")
 @click.option("--alpha-min", type=float, default=-1.0)
 @click.option("--alpha-max", type=float, default=2.0)
-@click.option("--steps", type=int, default=31)
+@click.option("--steps", type=click.IntRange(min=1), default=31)
 @click.option("--out", default="divergence.csv")
 def divergence_cmd(mu1, var1, mu2, var2, alpha_min, alpha_max, steps, out):
     """Tabulate D_alpha between two diagonal Gaussians over an alpha grid."""

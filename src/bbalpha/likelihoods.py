@@ -254,15 +254,17 @@ class MLPClassification:
         return picked - ad.logsumexp(A, axis=1)
 
 
-_MODEL_KEYS = {"probit": (), "linreg": ("sigma2",),
-               "mlp_regression": ("n_hidden", "log_sigma2"),
-               "mlp_classification": ("n_hidden1", "n_hidden2", "n_classes")}
+# the keys each model kind takes, with their types; int keys are counts
+MODEL_KEYS = {"probit": {}, "linreg": {"sigma2": float},
+              "mlp_regression": {"n_hidden": int, "log_sigma2": float},
+              "mlp_classification": {"n_hidden1": int, "n_hidden2": int,
+                                     "n_classes": int}}
 
 
 def make_model(kind, n_features, **kw):
-    if kind not in _MODEL_KEYS:
+    if kind not in MODEL_KEYS:
         raise ConfigError("unknown model kind %r" % kind)
-    unknown = sorted(str(k) for k in kw if k not in _MODEL_KEYS[kind])
+    unknown = sorted(str(k) for k in kw if k not in MODEL_KEYS[kind])
     if unknown:
         raise ConfigError("unknown model key(s) for %s: %s"
                           % (kind, ", ".join(unknown)))
@@ -331,8 +333,12 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Standardization happens later, on the training split only.  Probit labels
     are normalized to {-1, +1} from either source encoding, 0/1 or -1/+1;
-    any other label value raises ParseError.
+    any other label value raises ParseError.  A task other than regression,
+    probit or classification raises ConfigError.
     """
+    if schema.task not in ("regression", "probit", "classification"):
+        raise ConfigError("unknown task %r (regression, probit or "
+                          "classification)" % schema.task)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -500,6 +500,22 @@ _NO_FILE = "No such file or directory"
     (["bias", "{cfg}"], {"bias": {"n_minibatches": 0}}, 2, "must be >= 1"),
     (["bias", "{cfg}"], {"bias": {"ks": [0]}}, 2, "must be >= 1"),
     (["bias", "{cfg}"], {"bias": {"k_truth": 0}}, 2, "must be >= 1"),
+    (["train", "{cfg}"], {"model": {"kind": "mlp_classification", "n_classes": 2,
+                                    "n_hidden1": "abc"}}, 2,
+     "model n_hidden1 must be int, not 'abc'"),
+    (["train", "{cfg}"], {"model": {"kind": "mlp_regression", "n_hidden": 0}}, 2,
+     "model n_hidden must be >= 1, not 0"),
+    (["train", "{cfg}"], {"model": {"kind": "mlp_classification", "n_classes": 2.5}},
+     2, "model n_classes must be int, not 2.5"),
+    (["train", "{cfg}"], {"model": {"kind": "linreg", "sigma2": "abc"}}, 2,
+     "model sigma2 must be float, not 'abc'"),
+    (["train", "{cfg}"], {"model": {"kind": "mlp_regression", "log_sigma2": [1]}},
+     2, "model log_sigma2 must be float, not [1]"),
+    (["train", "{cfg}"], {"experiment": {"n_split": 3}}, 2,
+     "unknown experiment key(s): n_split"),
+    (["train", "{cfg}"], {"dataset": {"nn": 30}}, 2, "unknown dataset key(s): nn"),
+    (["bias", "{cfg}", "--out", "{tmp}/b.csv"], {"bias": {"n_repeat": 3}}, 2,
+     "unknown bias key(s): n_repeat"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -507,7 +523,10 @@ _NO_FILE = "No such file or directory"
         "model_not_mapping", "experiment_not_mapping", "linreg_sigma2_negative",
         "n_classes_below_labels", "train_fraction_1", "train_fraction_0",
         "train_fraction_2", "n_splits_0", "metrics_k_0", "bias_n_repeats_0",
-        "bias_n_minibatches_0", "bias_ks_0", "bias_k_truth_0"])
+        "bias_n_minibatches_0", "bias_ks_0", "bias_k_truth_0", "model_n_hidden1_str",
+        "model_n_hidden_0", "model_n_classes_float", "model_sigma2_str",
+        "model_log_sigma2_list", "experiment_key_typo", "dataset_key_typo",
+        "bias_key_typo"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)
@@ -531,3 +550,25 @@ def test_exit_codes_reach_the_shell(tmp_path):
         lines = proc.stderr.strip().splitlines()
         assert proc.returncode == code, proc.stderr
         assert len(lines) == 1 and lines[0].startswith(label), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analytic", "divergence"])
+@pytest.mark.parametrize("steps", ["-1", "0"])
+def test_steps_below_1_is_a_usage_error(runner, tmp_path, command, steps):
+    argv = [command, "--steps", steps, "--out", str(tmp_path / "t.csv")]
+    if command == "analytic":
+        argv += ["--example", "1"]
+    result = runner.invoke(cli.main, argv)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--steps'" in result.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("dataset, needle", [
+    ({"task": "regresion"}, "unknown task 'regresion'"),
+    ({"feature_columns": "x1"}, "dataset feature_columns must be a list, not 'x1'"),
+], ids=["task_typo", "feature_columns_str"])
+def test_bad_csv_setting_exits_2(runner, tmp_path, dataset, needle):
+    path = _csv_train_config(tmp_path, **dataset)
+    result = runner.invoke(cli.main, ["train", path])
+    _assert_one_line_exit(result, 2, needle)

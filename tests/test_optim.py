@@ -1,14 +1,18 @@
 """Optimizer components and the training loop."""
 
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from bbalpha import autodiff as ad
 from bbalpha import likelihoods as lk
+from bbalpha import optim
 from bbalpha.energy import AlphaParam, bbalpha_energy_exact
-from bbalpha.errors import DivergenceDetected, NonFiniteIntermediate
+from bbalpha.errors import (DivergenceDetected, ImproperCavity,
+                            NonFiniteIntermediate)
 from bbalpha.optim import (AdamState, TrainConfig, adam_step, default_prior,
                            glorot_layer_dims, init_q, robbins_monro_lr, train)
 
@@ -248,3 +252,88 @@ def test_error_fields_survive_pickling():
     inner = pickle.loads(pickle.dumps(NonFiniteIntermediate("exp")))
     assert inner.op_name == "exp"
     assert str(inner) == str(NonFiniteIntermediate("exp"))
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_eps_stream_draws_exactly_the_serial_blocks(threaded):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        blocks = [b.copy() for b in optim._eps_stream(
+            rng, 4, (3, 2), pool if threaded else None)]
+    want = [ref.standard_normal((3, 2)) for _ in range(4)]
+    assert [b.tobytes() for b in blocks] == [w.tobytes() for w in want]
+    assert rng.bit_generator.state == ref.bit_generator.state  # no fifth block
+
+
+def _wide_linreg(d, n=16):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(n, d)) / np.sqrt(d)
+    y = X @ rng.normal(size=d) + rng.normal(0.0, 0.5, size=n)
+    return lk.Dataset(X, y), lk.LinearRegression(d, 0.25)
+
+
+# K * dim = 40 draws in line, 40,000 on the helper thread
+@pytest.mark.parametrize("d, k, threaded", [(2, 20, False), (400, 100, True)])
+@pytest.mark.parametrize("refresh_every", [1, 3])
+def test_train_eps_is_the_serial_stream(monkeypatch, d, k, threaded,
+                                        refresh_every):
+    data, model = _wide_linreg(d)
+    # 2 epochs of ceil(16 / 5) = 4 steps: 8 steps, ceil(8 / r) refreshes
+    cfg = TrainConfig(alpha=0.5, k_samples=k, batch_size=5, epochs=2,
+                      refresh_every=refresh_every, seed=11)
+    assert (k * d >= optim._EPS_THREAD_MIN) == threaded
+    seen, threads, counts = [], [], []
+    energy, stream = optim.bbalpha_energy_mc, optim._eps_stream
+
+    def spy_energy(q, prior, model, data, batch, alpha, eps, **kw):
+        seen.append(eps.copy())
+        threads.append(threading.active_count())
+        return energy(q, prior, model, data, batch, alpha, eps, **kw)
+
+    def spy_stream(rng, n, shape, pool=None):
+        counts.append(n)
+        return stream(rng, n, shape, pool)
+
+    monkeypatch.setattr(optim, "bbalpha_energy_mc", spy_energy)
+    monkeypatch.setattr(optim, "_eps_stream", spy_stream)
+    before = threading.active_count()
+    train(model, data, default_prior(d), cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
+    want = []
+    for step in range(8):
+        if step % refresh_every == 0:
+            block = rng.standard_normal((k, d))
+        want.append(block.tobytes())
+    assert [e.tobytes() for e in seen] == want
+    assert counts == [-(-8 // refresh_every)]
+    assert threads == [before + threaded] * 8
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("outcome", ["returns", "raises", "exact"])
+def test_no_thread_outlives_train(monkeypatch, outcome):
+    data, model = _wide_linreg(400)
+    cfg = TrainConfig(alpha=0.5, k_samples=100, batch_size=5, epochs=2, seed=0,
+                      energy_mode="exact" if outcome == "exact" else "mc")
+    name = ("bbalpha_energy_exact_grad" if outcome == "exact"
+            else "bbalpha_energy_mc")
+    energy, threads = getattr(optim, name), []
+
+    def spy(*args, **kw):
+        threads.append(threading.active_count())
+        if outcome == "raises" and len(threads) == 4:
+            raise ImproperCavity("negative cavity precision")
+        return energy(*args, **kw)
+
+    monkeypatch.setattr(optim, name, spy)
+    before = set(threading.enumerate())
+    if outcome == "raises":
+        with pytest.raises(DivergenceDetected) as e:
+            train(model, data, default_prior(400), cfg)
+        assert e.value.step == 3
+    else:
+        train(model, data, default_prior(400), cfg)
+    assert set(threading.enumerate()) == before
+    # the helper ran in mc mode, and exact mode draws nothing and starts none
+    extra = 0 if outcome == "exact" else 1
+    assert set(threads) == {len(before) + extra}
