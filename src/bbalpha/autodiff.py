@@ -79,9 +79,10 @@ def empty(shape, dtype=float):
     lent = _buffers.lent
     if lent is None:
         return np.empty(shape, dtype)
-    key = (shape, np.dtype(dtype))
+    # keyed as given: np.dtype(dtype) costs more than the lookup itself
+    key = (shape, dtype)
     free = _buffers.free.get(key)
-    buf = free.pop() if free else _mapped(shape, key[1])
+    buf = free.pop() if free else _mapped(shape, np.dtype(dtype))
     lent.append((key, buf))
     return buf
 
@@ -91,6 +92,9 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+
+
+_FLOAT = np.dtype(float)
 
 
 class Var:
@@ -103,9 +107,12 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, value, tape, parents=(), op_name="leaf"):
-        self.value = np.asarray(value, dtype=float)
-        if not np.isfinite(self.value).all():
+        if type(value) is not np.ndarray or value.dtype is not _FLOAT:
+            value = np.asarray(value, dtype=float)
+        if not (math.isfinite(value) if value.ndim == 0
+                else np.isfinite(value).all()):
             raise NonFiniteIntermediate(op_name)
+        self.value = value
         self.tape = tape
         self.parents = parents  # tuple of (Var, vjp) pairs
         self.grad = None

@@ -57,19 +57,23 @@ def _prior_mv(prior: NaturalParams):
     return prior.eta1 * var, np.log(var)
 
 
-def _log_partition(mu, log_var, inv_var):
-    """Diagonal-Gaussian log Z at (mu, log_var); inv_var is exp(-log_var)."""
-    return (0.5 * mu * mu * inv_var + 0.5 * (_LOG_2PI + log_var)).sum()
+def _log_partition(mu, log_var, eta1):
+    """Diagonal-Gaussian log Z at (mu, log_var); eta1 is mu * exp(-log_var)."""
+    return 0.5 * (eta1 @ mu + log_var.sum() + mu.size * _LOG_2PI)
 
 
 def _reparam(mu, log_var, eps):
-    """theta = mu + exp(log_var / 2) * eps as one (K, dim) node."""
+    """theta = mu + exp(log_var / 2) * eps as one (K, dim) node.  Its VJPs sum
+    over the K rows as products with a vector of ones: numpy's reductions
+    over a long outer axis of a narrow array are several times slower."""
     sd = np.exp(0.5 * ad._val(log_var))
     theta = np.multiply(eps, sd, out=ad.empty(eps.shape))
     theta += ad._val(mu)
+    ones = np.ones(len(eps))
     return ad.node(theta, "reparam",
-                   (mu, lambda g: g.sum(axis=0)),
-                   (log_var, lambda g: np.einsum("kp,kp->p", g, eps) * sd * 0.5))
+                   (mu, lambda g: ones @ g),
+                   (log_var, lambda g: (ones @ np.multiply(
+                       g, eps, out=ad.empty(g.shape))) * sd * 0.5))
 
 
 def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
@@ -80,54 +84,69 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     delta_kb = loglik_kb - (theta_k . l1 + theta_k^2 . l2), the value is
     logZ0 - logZq - N / (alpha B) sum_b [logsumexp_k(alpha delta_kb) - log K].
     The VJP uses the tilted weights w = softmax_k(alpha delta):
-    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb feeds the Gaussian
-    slots through sum_k c_k theta_k and sum_k c_k theta_k^2.  theta's own
-    term c_k (l1 + 2 theta_k l2) reaches mu and log_var in closed form
-    through theta = mu + sd eps, so theta gets no gradient here.  alpha=None
-    is the VB energy, the same node with w = 1/K.  An improper cavity
-    lambda_q - alpha * lambda raises ImproperCavity.
+    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb.  Since sum_k c_k = N,
+    the slot gradients need only a = sd (c @ eps) / N and
+    b = var (c @ eps^2) / N: with dm = mu - p_mu,
+      dE/dmu = (dm + a) / var0,   dE/dlog_var = (b + a dm) / (2 var0) - 1/2,
+    and the prior slots get -dE/dmu and -dE/dlog_var - dm dE/dmu / 2.  They
+    hold theta's own term c_k (l1 + 2 theta_k l2), which reaches mu and
+    log_var through theta = mu + sd eps, so theta gets no gradient here.
+    alpha=None is the VB energy, the same node with w = 1/K.  An improper
+    cavity lambda_q - alpha * lambda raises ImproperCavity.
     """
     m, lv, pm, plv, th, ll = (ad._val(v) for v in
                               (mu, log_var, p_mu, p_log_var, theta, loglik))
     K, B = ll.shape
     ivq, iv0 = np.exp(-lv), np.exp(-plv)
-    l1 = (m * ivq - pm * iv0) / n_data
+    e1q, e10 = m * ivq, pm * iv0
+    l1 = (e1q - e10) / n_data
     l2 = 0.5 * (iv0 - ivq) / n_data
-    if alpha is not None and (-0.5 * ivq - alpha * l2 >= 0.0).any():
+    # -2 times the cavity eta2; the scaling is exact
+    if alpha is not None and (ivq + 2.0 * alpha * l2 <= 0.0).any():
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
     th2 = np.multiply(th, th, out=ad.empty(th.shape))
-    delta = np.subtract(ll, (th @ l1 + th2 @ l2)[:, None],
-                        out=ad.empty(ll.shape))
-    logZ_diff = _log_partition(pm, plv, iv0) - _log_partition(m, lv, ivq)
+    w = np.subtract(ll, (th @ l1 + th2 @ l2)[:, None], out=ad.empty(ll.shape))
+    value = _log_partition(pm, plv, e10) - _log_partition(m, lv, e1q)
     if alpha is None:
-        w = ad.empty((K, B))
-        w.fill(1.0 / K)
-        value = logZ_diff - (n_data / B) * (delta.sum() / K)
+        value -= (n_data / B) * (w.sum() / K)
+        c = np.full(K, n_data / K)
+        w.fill(-(n_data / B) / K)                     # dE/dloglik
     else:
-        w = np.multiply(alpha, delta, out=delta)
-        lse = ad._logsumexp_keepdims(w, 0)
-        np.subtract(w, lse, out=w)
+        # log-sum-exp over k with a max shift; w ends as dE/dloglik
+        w *= alpha
+        top = w.max(axis=0)
+        w -= top
         np.exp(w, out=w)
-        value = logZ_diff - (n_data / (alpha * B)) * (lse - np.log(K)).sum()
-
-    c = (n_data / B) * w.sum(axis=1)                  # (K,)
-    w *= -(n_data / B)                                # dE/dloglik
-    c_th = c @ th
-    u1 = c_th / n_data                                # dE/d eta1q = -dE/d eta1_0
-    u2 = (c @ th2) / n_data                           # dE/d eta2q = -dE/d eta2_0
-    sd, c_eps = np.exp(0.5 * lv), c @ eps
-    c_eps2 = c @ np.multiply(eps, eps, out=th2)       # th2 is spent
-    grads = [(mu, (u1 - m) * ivq + c.sum() * l1 + 2.0 * l2 * c_th),
-             (log_var, (0.5 * m * m - u1 * m + 0.5 * u2) * ivq - 0.5
-              + 0.5 * sd * (l1 * c_eps + 2.0 * l2 * (m * c_eps + sd * c_eps2))),
-             (loglik, w)]
-    if isinstance(p_mu, ad.Var):                      # learned prior slots
-        grads += [(p_mu, (pm - u1) * iv0),
-                  (p_log_var, 0.5 - (0.5 * pm * pm - u1 * pm + 0.5 * u2) * iv0)]
-    # a non-finite l1, l2 or delta shows in the value or in these
-    for _, gr in grads:
-        if not np.isfinite(gr).all():
-            raise NonFiniteIntermediate("alpha_energy")
+        s = np.ones(K) @ w                            # >= 1: exp(0) is in it
+        value -= (n_data / (alpha * B)) * (
+            (np.log(s) + top).sum() - B * np.log(K))
+        r = (n_data / B) / s
+        c = w @ r
+        w *= -r
+    ce = c @ eps
+    ce2 = c @ np.multiply(eps, eps, out=th2)          # th2 is spent
+    sd = np.exp(0.5 * lv)
+    a = sd * ce / n_data
+    b = sd * sd * ce2 / n_data
+    dm = m - pm
+    learn_prior = isinstance(p_mu, ad.Var)
+    # one block for the slot gradients and their finiteness check; a
+    # non-finite w gives a non-finite value, which the node's Var rejects
+    G = np.empty((4 if learn_prior else 2, m.size))
+    g_mu, g_lv = G[0], G[1]
+    np.add(dm, a, out=g_mu)
+    g_mu *= iv0
+    np.multiply(a, dm, out=g_lv)
+    g_lv += b
+    g_lv *= 0.5 * iv0
+    g_lv -= 0.5
+    grads = [(mu, g_mu), (log_var, g_lv), (loglik, w)]
+    if learn_prior:
+        np.negative(G[:2], out=G[2:])
+        G[3] -= 0.5 * dm * g_mu
+        grads += [(p_mu, G[2]), (p_log_var, G[3])]
+    if not np.isfinite(G).all():
+        raise NonFiniteIntermediate("alpha_energy")
     # the root's unit seed needs no copy of gr
     return ad.node(value, "alpha_energy",
                    *[(v, lambda g, gr=gr: gr if g == 1.0 else g * gr)
@@ -235,8 +254,8 @@ def _exact_closed_form(m, lv, pm, plv, X, y, sigma2, alpha, n_data):
               - alpha * y * y / (2.0 * sigma2)
               + 0.5 * np.einsum("nd,nd->n", h, mean) + 0.5 * dim * _LOG_2PI
               - 0.5 * (np.log(d).sum() + np.log(denom)))
-    logZq = _log_partition(m, lv, ivq)
-    value = _log_partition(pm, plv, iv0) - logZq - (logint - logZq).sum() / alpha
+    logZq = _log_partition(m, lv, e1q)
+    value = _log_partition(pm, plv, pm * iv0) - logZq - (logint - logZq).sum() / alpha
 
     mb1, mb2 = mean.mean(axis=0), second.mean(axis=0)
     r, f = rows / n_data, rows / alpha - 1.0

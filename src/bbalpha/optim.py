@@ -83,13 +83,27 @@ class AdamState:
 
 def adam_step(state: AdamState, params, grad, lr, beta1=0.9, beta2=0.999,
               eps_hat=1e-8):
-    """One bias-corrected Adam update; returns new parameters."""
+    """One bias-corrected Adam update; returns new parameters.
+
+    The moments are updated in place, in the order of
+    m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g, and the
+    step is lr m_hat / (sqrt(v_hat) + eps_hat): one temporary and the result
+    are all it allocates."""
     state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * grad
-    state.v = beta2 * state.v + (1 - beta2) * grad * grad
-    m_hat = state.m / (1 - beta1 ** state.t)
-    v_hat = state.v / (1 - beta2 ** state.t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps_hat)
+    tmp = np.multiply(grad, 1 - beta1)
+    state.m *= beta1
+    state.m += tmp
+    np.multiply(grad, 1 - beta2, out=tmp)
+    tmp *= grad
+    state.v *= beta2
+    state.v += tmp
+    np.divide(state.v, 1 - beta2 ** state.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps_hat
+    step = np.divide(state.m, 1 - beta1 ** state.t)
+    step *= lr
+    step /= tmp
+    return np.subtract(params, step, out=step)
 
 
 def robbins_monro_lr(cfg: TrainConfig, t):

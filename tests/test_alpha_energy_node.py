@@ -58,14 +58,40 @@ def _problem(kind, learn_prior, seed, n_data=40, B=7, K=6, d=2):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_fused_energy_matches_tape_reference(alpha, kind, learn_prior):
-    slots, fn = _problem(kind, learn_prior, seed=KINDS.index(kind))
-    value, grads = ad.value_and_grad(fn(en._mc_expr, alpha), slots)
-    want, want_grads = ad.value_and_grad(fn(reference_energy.mc_expr, alpha),
-                                         slots)
-    assert value == pytest.approx(want, rel=1e-12)
-    assert len(grads) == len(want_grads)
-    for g, w in zip(grads, want_grads):
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    # K = 1 is the w = 1 edge; K = 10,000 sums over the samples as
+    # matrix-vector products
+    for K in (6, 1, 10000):
+        slots, fn = _problem(kind, learn_prior, seed=KINDS.index(kind), K=K)
+        value, grads = ad.value_and_grad(fn(en._mc_expr, alpha), slots)
+        want, want_grads = ad.value_and_grad(
+            fn(reference_energy.mc_expr, alpha), slots)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert len(grads) == len(want_grads)
+        for g, w in zip(grads, want_grads):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("K", [10, 10000])
+def test_gradient_reaches_vb_linearly_as_alpha_vanishes(K):
+    # the alpha energy's gradient is the VB one plus O(alpha): the tilted
+    # weights are 1/K + O(alpha), with no 1/alpha left in the gradient
+    rng = np.random.default_rng(4)
+    n, d = 60, 3
+    X = rng.normal(size=(n, d))
+    y = np.where(X @ [1.0, -0.5, 0.3] + 0.3 * rng.normal(size=n) > 0, 1.0, -1.0)
+    data, model = lk.Dataset(X, y), lk.ProbitRegression(d)
+    q = FactorizedGaussian(rng.normal(0, 0.5, size=d),
+                           rng.normal(-1.0, 0.3, size=d))
+    prior = NaturalParams(np.zeros(d), np.full(d, -0.5))
+    batch, eps = np.arange(16), rng.standard_normal((K, d))
+    vb = en.vb_energy_mc(q, prior, model, data, batch, eps).grad
+    alphas = [1e-4, 1e-6, 1e-8]
+    errs = [np.abs(en.bbalpha_energy_mc(q, prior, model, data, batch,
+                                        en.AlphaParam(a, n), eps).grad
+                   - vb).max() / np.abs(vb).max() for a in alphas]
+    assert errs[-1] <= 1e-6
+    for e_big, e_small in zip(errs, errs[1:]):
+        assert 95.0 <= e_big / e_small <= 105.0
 
 
 @pytest.mark.parametrize("learn_prior", [False, True])

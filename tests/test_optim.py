@@ -35,6 +35,23 @@ def test_adam_accumulates_momentum():
     assert w[0] < -0.9  # steady descent on a constant gradient
 
 
+def test_adam_step_matches_the_out_of_place_update_bit_for_bit():
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=11)
+    state = AdamState(np.zeros(11), np.zeros(11))
+    want, m, v = w, np.zeros(11), np.zeros(11)
+    for t in range(1, 6):
+        g = rng.normal(size=11) * 10.0 ** rng.uniform(-6, 6, size=11)
+        w = adam_step(state, w, g, 0.01, 0.8, 0.99, 1e-6)
+        m = 0.8 * m + (1 - 0.8) * g
+        v = 0.99 * v + (1 - 0.99) * g * g
+        m_hat, v_hat = m / (1 - 0.8 ** t), v / (1 - 0.99 ** t)
+        want = want - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-6)
+        assert np.array_equal(w, want)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    assert state.t == 5
+
+
 def test_robbins_monro_schedule():
     cfg = TrainConfig(sgd_a=1.0, sgd_b=10.0)
     assert robbins_monro_lr(cfg, 0) == pytest.approx(0.1)
