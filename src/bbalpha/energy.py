@@ -167,7 +167,7 @@ def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
     p_mu, p_log_var = _prior_mv(prior)
     slots = [q.mu.copy(), q.log_var.copy()]
     slots += [np.atleast_1d(float(hyper))] if learn_noise else []
-    slots += [p_mu.copy(), p_log_var.copy()] if learn_prior else []
+    slots += [p_mu, p_log_var] if learn_prior else []
 
     def unpack(vs):
         h = vs[2][0] if learn_noise else hyper
@@ -200,7 +200,7 @@ def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
         return _mc_expr(mu, log_var, pm, plv, model, X, y, N, a, eps, hyper=h)
 
     value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate([np.ravel(g) for g in grads]),
+    return EnergyEstimate(value, np.concatenate(grads),
                           a or 0.0, eps.shape[0], batch)
 
 
@@ -300,7 +300,7 @@ def bbalpha_energy_exact_grad(q, prior, model, data, alpha: AlphaParam,
                            alpha.alpha, alpha.n_data)
 
     value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate([np.ravel(g) for g in grads]),
+    return EnergyEstimate(value, np.concatenate(grads),
                           alpha.alpha, 0, np.arange(data.n))
 
 
