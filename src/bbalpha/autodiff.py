@@ -79,8 +79,7 @@ def empty(shape, dtype=float):
     lent = _buffers.lent
     if lent is None:
         return np.empty(shape, dtype)
-    # keyed as given: np.dtype(dtype) costs more than the lookup itself
-    key = (shape, dtype)
+    key = (shape, dtype)            # as given: np.dtype() costs more
     free = _buffers.free.get(key)
     buf = free.pop() if free else _mapped(shape, np.dtype(dtype))
     lent.append((key, buf))
@@ -94,9 +93,6 @@ class Tape:
         self.nodes = []
 
 
-_FLOAT = np.dtype(float)
-
-
 class Var:
     """A node on the tape: a numpy value plus vector-Jacobian closures."""
 
@@ -107,10 +103,9 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, value, tape, parents=(), op_name="leaf"):
-        if type(value) is not np.ndarray or value.dtype is not _FLOAT:
+        if type(value) is not np.ndarray or value.dtype.type is not np.float64:
             value = np.asarray(value, dtype=float)
-        if not (math.isfinite(value) if value.ndim == 0
-                else np.isfinite(value).all()):
+        if not (math.isfinite(value) if value.ndim == 0 else np.isfinite(value).all()):
             raise NonFiniteIntermediate(op_name)
         self.value = value
         self.tape = tape
@@ -246,30 +241,23 @@ def asum(a, axis=None):
     return node(np.sum(av, axis=axis), "sum", (a, vjp))
 
 
-def _logsumexp_keepdims(a, axis):
-    """scipy.special.logsumexp's algorithm for real input, keeping the
-    reduced axes: the m tied maxima are counted apart from the shifted sum s
-    of the other entries, and the result is log1p(s / m) + log(m) + max.
-    Bit-identical to scipy, without its array-API dispatch."""
-    if a.ndim == 0:
-        return _logsumexp_keepdims(a.reshape(1), axis).reshape(())
-    a_max = a.max(axis=axis, keepdims=True)
-    tied = np.equal(a, a_max, out=empty(a.shape, bool))
+def logsumexp(a, axis=None):
+    """Max-shifted log-sum-exp over one axis or over all elements, with
+    scipy.special.logsumexp's algorithm and bits: the m tied maxima count
+    apart from the shifted sum s of the others; log1p(s / m) + log(m) + max."""
+    av = _val(a)
+    x = av.reshape(1) if av.ndim == 0 else av
+    x_max = x.max(axis=axis, keepdims=True)
+    tied = x == x_max
     m = tied.sum(axis=axis, keepdims=True, dtype=float)
     # in a slice of -inf entries, -inf - -inf is NaN; every such entry is a
     # tied maximum and is zeroed below, so the slice gives -inf as in scipy
     with np.errstate(invalid="ignore"):
-        e = np.subtract(a, a_max, out=empty(a.shape))
-        np.exp(e, out=e)
+        e = np.exp(x - x_max)
     e[tied] = 0.0
     s = e.sum(axis=axis, keepdims=True)
-    return np.log1p(s / m) + np.log(m) + a_max
-
-
-def logsumexp(a, axis=None):
-    """Max-shifted log-sum-exp over one axis or over all elements."""
-    av = _val(a)
-    out_kd = _logsumexp_keepdims(av, axis)
+    out_kd = (np.log1p(s / m) + np.log(m) + x_max).reshape(
+        () if av.ndim == 0 else x_max.shape)
 
     def vjp(g):
         soft = np.exp(av - out_kd)
@@ -517,7 +505,7 @@ def value_and_grad(f, at):
 
 def _evaluate(f, at):
     tape = Tape()
-    leaves = [Var(np.asarray(a, dtype=float), tape) for a in at]
+    leaves = [Var(a, tape) for a in at]
     out = f(*leaves)
     if not isinstance(out, Var):
         # expression did not touch any slot; gradient is zero

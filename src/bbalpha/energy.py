@@ -63,17 +63,14 @@ def _log_partition(mu, log_var, eta1):
 
 
 def _reparam(mu, log_var, eps):
-    """theta = mu + exp(log_var / 2) * eps as one (K, dim) node.  Its VJPs sum
-    over the K rows as products with a vector of ones: numpy's reductions
-    over a long outer axis of a narrow array are several times slower."""
+    """theta = mu + exp(log_var / 2) * eps as one (K, dim) node."""
     sd = np.exp(0.5 * ad._val(log_var))
     theta = np.multiply(eps, sd, out=ad.empty(eps.shape))
     theta += ad._val(mu)
-    ones = np.ones(len(eps))
-    return ad.node(theta, "reparam",
-                   (mu, lambda g: ones @ g),
-                   (log_var, lambda g: (ones @ np.multiply(
-                       g, eps, out=ad.empty(g.shape))) * sd * 0.5))
+    ones = np.ones(len(eps))        # sums over K rows as products: faster
+    return ad.node(theta, "reparam", (mu, lambda g: ones @ g),
+                   (log_var, lambda g: ones @ np.multiply(
+                       g, eps, out=ad.empty(g.shape)) * sd * 0.5))
 
 
 def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
@@ -84,11 +81,10 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     delta_kb = loglik_kb - (theta_k . l1 + theta_k^2 . l2), the value is
     logZ0 - logZq - N / (alpha B) sum_b [logsumexp_k(alpha delta_kb) - log K].
     The VJP uses the tilted weights w = softmax_k(alpha delta):
-    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb.  Since sum_k c_k = N,
-    the slot gradients need only a = sd (c @ eps) / N and
-    b = var (c @ eps^2) / N: with dm = mu - p_mu,
-      dE/dmu = (dm + a) / var0,   dE/dlog_var = (b + a dm) / (2 var0) - 1/2,
-    and the prior slots get -dE/dmu and -dE/dlog_var - dm dE/dmu / 2.  They
+    dE/dloglik = -(N/B) w, and c_k = (N/B) sum_b w_kb sums to N, so with
+    a = sd (c @ eps) / N, b = var (c @ eps^2) / N and dm = mu - p_mu,
+    dE/dmu = (dm + a) / var0 and dE/dlog_var = (b + a dm) / (2 var0) - 1/2;
+    the prior slots get -dE/dmu and -dE/dlog_var - dm dE/dmu / 2.  These
     hold theta's own term c_k (l1 + 2 theta_k l2), which reaches mu and
     log_var through theta = mu + sd eps, so theta gets no gradient here.
     alpha=None is the VB energy, the same node with w = 1/K.  An improper
@@ -111,46 +107,33 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
         value -= (n_data / B) * (w.sum() / K)
         c = np.full(K, n_data / K)
         w.fill(-(n_data / B) / K)                     # dE/dloglik
-    else:
-        # log-sum-exp over k with a max shift; w ends as dE/dloglik
+    else:                                             # max-shifted logsumexp
         w *= alpha
         top = w.max(axis=0)
         w -= top
-        np.exp(w, out=w)
-        s = np.ones(K) @ w                            # >= 1: exp(0) is in it
-        value -= (n_data / (alpha * B)) * (
-            (np.log(s) + top).sum() - B * np.log(K))
+        s = np.ones(K) @ np.exp(w, out=w)             # >= 1: exp(0) is in it
+        value -= n_data / (alpha * B) * ((np.log(s) + top).sum() - B * np.log(K))
         r = (n_data / B) / s
         c = w @ r
-        w *= -r
-    ce = c @ eps
-    ce2 = c @ np.multiply(eps, eps, out=th2)          # th2 is spent
-    sd = np.exp(0.5 * lv)
-    a = sd * ce / n_data
-    b = sd * sd * ce2 / n_data
-    dm = m - pm
-    learn_prior = isinstance(p_mu, ad.Var)
-    # one block for the slot gradients and their finiteness check; a
-    # non-finite w gives a non-finite value, which the node's Var rejects
-    G = np.empty((4 if learn_prior else 2, m.size))
-    g_mu, g_lv = G[0], G[1]
-    np.add(dm, a, out=g_mu)
-    g_mu *= iv0
-    np.multiply(a, dm, out=g_lv)
-    g_lv += b
-    g_lv *= 0.5 * iv0
-    g_lv -= 0.5
-    grads = [(mu, g_mu), (log_var, g_lv), (loglik, w)]
-    if learn_prior:
+        w *= -r                                       # dE/dloglik
+    sd, dm = np.exp(0.5 * lv), m - pm
+    a = sd * (c @ eps) / n_data
+    b = sd * sd * (c @ np.multiply(eps, eps, out=th2)) / n_data
+    # slot gradients in one block, one check; a non-finite w shows in value
+    G = np.empty((4 if isinstance(p_mu, ad.Var) else 2, m.size))
+    np.multiply(dm + a, iv0, out=G[0])
+    np.multiply(a * dm + b, 0.5 * iv0, out=G[1])
+    G[1] -= 0.5
+    if len(G) == 4:                                   # learned prior slots
         np.negative(G[:2], out=G[2:])
-        G[3] -= 0.5 * dm * g_mu
-        grads += [(p_mu, G[2]), (p_log_var, G[3])]
+        G[3] -= 0.5 * dm * G[0]
     if not np.isfinite(G).all():
         raise NonFiniteIntermediate("alpha_energy")
     # the root's unit seed needs no copy of gr
     return ad.node(value, "alpha_energy",
-                   *[(v, lambda g, gr=gr: gr if g == 1.0 else g * gr)
-                     for v, gr in grads])
+                   *[(v, lambda g, gr=gr: gr if g == 1.0 else g * gr) for v, gr
+                     in zip((mu, log_var, loglik, p_mu, p_log_var),
+                            (G[0], G[1], w, *G[2:]))])
 
 
 def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
@@ -200,8 +183,7 @@ def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
         return _mc_expr(mu, log_var, pm, plv, model, X, y, N, a, eps, hyper=h)
 
     value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate(grads),
-                          a or 0.0, eps.shape[0], batch)
+    return EnergyEstimate(value, np.concatenate(grads), a or 0.0, eps.shape[0], batch)
 
 
 def vb_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
@@ -300,8 +282,7 @@ def bbalpha_energy_exact_grad(q, prior, model, data, alpha: AlphaParam,
                            alpha.alpha, alpha.n_data)
 
     value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate(grads),
-                          alpha.alpha, 0, np.arange(data.n))
+    return EnergyEstimate(value, np.concatenate(grads), alpha.alpha, 0, np.arange(data.n))
 
 
 def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,

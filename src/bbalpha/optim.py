@@ -83,27 +83,18 @@ class AdamState:
 
 def adam_step(state: AdamState, params, grad, lr, beta1=0.9, beta2=0.999,
               eps_hat=1e-8):
-    """One bias-corrected Adam update; returns new parameters.
-
-    The moments are updated in place, in the order of
-    m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g, and the
-    step is lr m_hat / (sqrt(v_hat) + eps_hat): one temporary and the result
-    are all it allocates."""
+    """One bias-corrected Adam update, moments in place; returns new params."""
     state.t += 1
     tmp = np.multiply(grad, 1 - beta1)
     state.m *= beta1
     state.m += tmp
-    np.multiply(grad, 1 - beta2, out=tmp)
-    tmp *= grad
     state.v *= beta2
-    state.v += tmp
-    np.divide(state.v, 1 - beta2 ** state.t, out=tmp)
-    np.sqrt(tmp, out=tmp)
+    state.v += np.multiply(np.multiply(grad, 1 - beta2, out=tmp), grad, out=tmp)
+    np.sqrt(np.divide(state.v, 1 - beta2 ** state.t, out=tmp), out=tmp)
     tmp += eps_hat
     step = np.divide(state.m, 1 - beta1 ** state.t)
     step *= lr
-    step /= tmp
-    return np.subtract(params, step, out=step)
+    return np.subtract(params, np.divide(step, tmp, out=step), out=step)
 
 
 def robbins_monro_lr(cfg: TrainConfig, t):
