@@ -9,11 +9,12 @@ the alpha estimator.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
 from . import autodiff as ad
-from .energy import AlphaParam, bbalpha_energy_mc
+from .energy import AlphaParam, bbalpha_energy_mc_blocks
 from .errors import ConfigError
 
 
@@ -70,30 +71,22 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
     columns = {a: AlphaParam(a, n) for a in alphas}
     columns["vb"] = None
 
-    # epsilon streams shared across columns: one per (minibatch, purpose)
-    eps_truth = []
-    eps_reps = []  # [minibatch][k index] -> (n_repeats, K, theta_dim)
-    for b in range(n_minibatches):
-        eps_truth.append(rng.standard_normal((k_truth, model.theta_dim)))
-        per_k = []
-        for k in ks:
-            per_k.append(rng.standard_normal((n_repeats, k, model.theta_dim)))
-        eps_reps.append(per_k)
+    # epsilon blocks shared across columns, per minibatch in the order they
+    # are used: the reference block, then n_repeats blocks per K
+    sizes = [(1, k_truth)] + [(n_repeats, k) for k in ks]
+    eps = [[rng.standard_normal((r, k, model.theta_dim)) for r, k in sizes]
+           for _ in range(n_minibatches)]
 
     bias = {(a, k): [] for a in columns for k in ks}
     spread = {(a, k): [] for a in columns for k in ks}
     root_dim = np.sqrt(dim)
     for b, batch in enumerate(batches):
         for a, alpha in columns.items():
-            def grad(eps):
-                return bbalpha_energy_mc(q, prior, model, data, batch, alpha,
-                                         eps, hyper=hyper).grad[:dim]
-
-            g_ref = grad(eps_truth[b])
-            for ki, k in enumerate(ks):
-                grads = np.empty((n_repeats, dim))
-                for r in range(n_repeats):
-                    grads[r] = grad(eps_reps[b][ki][r])
+            ests = bbalpha_energy_mc_blocks(q, prior, model, data, batch, alpha,
+                                            chain(*eps[b]), hyper=hyper)
+            g_ref = next(ests).grad[:dim]
+            for k in ks:
+                grads = np.array([e.grad[:dim] for e in islice(ests, n_repeats)])
                 g_bar = grads.mean(axis=0)
                 bias[(a, k)].append(np.linalg.norm(g_bar - g_ref) / root_dim)
                 spread[(a, k)].append(np.sqrt(np.mean(grads.var(axis=0))))

@@ -5,13 +5,16 @@ scaling, whose alpha=None case is the variational free energy (the
 alpha -> 0 limit), the closed-form energy for conjugate linear regression,
 the lower-bound certificate and the moment-matching stationarity residual.
 
-The MC estimator is a `reparam` node for the K samples, the model's
-log-likelihood (the samples' one consumer), and one `alpha_energy` node
-holding the diagonal-Gaussian arithmetic, in place on arrays it allocates,
-and its closed-form gradient; the exact energy is one `exact_energy` node
-whose gradient is the moment-matching residual.  log E_q[(p/f)^alpha] is
-always logsumexp(alpha * delta_k) - log K with a max shift, never the log
-of a mean of exponentiated alpha * delta.
+The MC estimator has an eps-free site step (`_site`: the tied site, the
+cavity test, logZ0 - logZq) and a per-block step: a `reparam` node for the
+K samples, the model's log-likelihood (the samples' one consumer), and one
+`alpha_energy` node holding the rest of the diagonal-Gaussian arithmetic,
+in place on arrays it allocates, and its closed-form gradient.
+`bbalpha_energy_mc_blocks` takes one site step for all the eps blocks of one
+(q, minibatch, alpha); `bbalpha_energy_mc` is its one-block case.  The exact
+energy is one `exact_energy` node whose gradient is the moment-matching
+residual.  log E_q[(p/f)^alpha] is always logsumexp(alpha * delta_k) - log K
+with a max shift, never the log of a mean of exponentiated alpha * delta.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (ConfigError, ImproperCavity, ImproperTilted,
-                     NonFiniteIntermediate)
+                     NonFiniteIntermediate, ShapeMismatch)
 from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -62,20 +65,32 @@ def _log_partition(mu, log_var, eta1):
     return 0.5 * (eta1 @ mu + log_var.sum() + mu.size * _LOG_2PI)
 
 
-def _reparam(mu, log_var, eps):
-    """theta = mu + exp(log_var / 2) * eps as one (K, dim) node."""
-    sd = np.exp(0.5 * ad._val(log_var))
+def _reparam(mu, log_var, eps, sd, ones):
+    """theta = mu + sd * eps as one (K, dim) node; sd = exp(log_var / 2)."""
     theta = np.multiply(eps, sd, out=ad.empty(eps.shape))
     theta += ad._val(mu)
-    ones = np.ones(len(eps))        # sums over K rows as products: faster
     return ad.node(theta, "reparam", (mu, lambda g: ones @ g),
                    (log_var, lambda g: ones @ np.multiply(
                        g, eps, out=ad.empty(g.shape)) * sd * 0.5))
 
 
+def _site(m, lv, pm, plv, n_data, alpha):
+    """The eps-free part of the energy at one (q, prior, alpha): whether the
+    cavity is improper, the site's l1 and l2, logZ0 - logZq, sd, dm, iv0."""
+    ivq, iv0 = np.exp(-lv), np.exp(-plv)
+    e1q, e10 = m * ivq, pm * iv0
+    l1 = (e1q - e10) / n_data
+    l2 = 0.5 * (iv0 - ivq) / n_data
+    # -2 times the cavity eta2; the scaling is exact
+    improper = alpha is not None and (ivq + 2.0 * alpha * l2 <= 0.0).any()
+    return (improper, l1, l2, _log_partition(pm, plv, e10) - _log_partition(m, lv, e1q),
+            np.exp(0.5 * lv), m - pm, iv0)
+
+
 def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
-                  eps):
-    """Everything of the energy but the model's log-likelihood, one node.
+                  eps, site, ones):
+    """Everything of the energy but the model's log-likelihood, one node;
+    `site` is _site at the slots' values, `ones` a (K,) vector of ones.
 
     With l1, l2 the tied site's natural parameters and
     delta_kb = loglik_kb - (theta_k . l1 + theta_k^2 . l2), the value is
@@ -88,21 +103,15 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     hold theta's own term c_k (l1 + 2 theta_k l2), which reaches mu and
     log_var through theta = mu + sd eps, so theta gets no gradient here.
     alpha=None is the VB energy, the same node with w = 1/K.  An improper
-    cavity lambda_q - alpha * lambda raises ImproperCavity.
+    cavity raises ImproperCavity here, inside the evaluation.
     """
-    m, lv, pm, plv, th, ll = (ad._val(v) for v in
-                              (mu, log_var, p_mu, p_log_var, theta, loglik))
-    K, B = ll.shape
-    ivq, iv0 = np.exp(-lv), np.exp(-plv)
-    e1q, e10 = m * ivq, pm * iv0
-    l1 = (e1q - e10) / n_data
-    l2 = 0.5 * (iv0 - ivq) / n_data
-    # -2 times the cavity eta2; the scaling is exact
-    if alpha is not None and (ivq + 2.0 * alpha * l2 <= 0.0).any():
+    improper, l1, l2, value, sd, dm, iv0 = site
+    if improper:
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
+    th, ll = ad._val(theta), ad._val(loglik)
+    K, B = ll.shape
     th2 = np.multiply(th, th, out=ad.empty(th.shape))
     w = np.subtract(ll, (th @ l1 + th2 @ l2)[:, None], out=ad.empty(ll.shape))
-    value = _log_partition(pm, plv, e10) - _log_partition(m, lv, e1q)
     if alpha is None:
         value -= (n_data / B) * (w.sum() / K)
         c = np.full(K, n_data / K)
@@ -111,16 +120,15 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
         w *= alpha
         top = w.max(axis=0)
         w -= top
-        s = np.ones(K) @ np.exp(w, out=w)             # >= 1: exp(0) is in it
+        s = ones @ np.exp(w, out=w)                   # >= 1: exp(0) is in it
         value -= n_data / (alpha * B) * ((np.log(s) + top).sum() - B * np.log(K))
         r = (n_data / B) / s
         c = w @ r
         w *= -r                                       # dE/dloglik
-    sd, dm = np.exp(0.5 * lv), m - pm
     a = sd * (c @ eps) / n_data
     b = sd * sd * (c @ np.multiply(eps, eps, out=th2)) / n_data
     # slot gradients in one block, one check; a non-finite w shows in value
-    G = np.empty((4 if isinstance(p_mu, ad.Var) else 2, m.size))
+    G = np.empty((4 if isinstance(p_mu, ad.Var) else 2, sd.size))
     np.multiply(dm + a, iv0, out=G[0])
     np.multiply(a * dm + b, 0.5 * iv0, out=G[1])
     G[1] -= 0.5
@@ -137,13 +145,16 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
 
 
 def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
-             hyper=None):
+             hyper=None, site=None):
     """MC energy: the model's nodes between two hand-differentiated ones;
     alpha=None gives the VB energy."""
-    theta = _reparam(mu, log_var, eps)
+    if site is None:                # the slots' values give one
+        site = _site(*map(ad._val, (mu, log_var, p_mu, p_log_var)), n_data, alpha)
+    ones = np.ones(len(eps))        # sums over K rows as products: faster
+    theta = _reparam(mu, log_var, eps, site[4], ones)    # site[4] is sd
     loglik = model.batch_log_lik(theta, X, y, hyper=hyper)
     return _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data,
-                         alpha, eps)
+                         alpha, eps, site, ones)
 
 
 def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
@@ -160,6 +171,33 @@ def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
     return slots, unpack
 
 
+def bbalpha_energy_mc_blocks(q: FactorizedGaussian, prior: NaturalParams,
+                             model, data, batch, alpha, eps_blocks, hyper=None,
+                             learn_noise=False, learn_prior=False):
+    """bbalpha_energy_mc at each (K, dim) block of `eps_blocks` in turn, one
+    value_and_grad call each; the minibatch, the slots and the site step are
+    set up once, the site from the very arrays every call takes as leaves."""
+    batch = np.asarray(batch, dtype=int)
+    if batch.size == 0:
+        raise ValueError("empty minibatch")
+    a, N = (None, data.n) if alpha is None else (alpha.alpha, alpha.n_data)
+    X, y = data.features[batch], data.targets[batch]
+    slots, unpack = _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior)
+    mu, log_var, _, pm, plv = unpack(slots)
+    site = _site(mu, log_var, pm, plv, N, a)
+
+    def f(*vs):                     # at the block the loop holds
+        mu, log_var, h, pm, plv = unpack(vs)
+        return _mc_expr(mu, log_var, pm, plv, model, X, y, N, a, eps, hyper=h,
+                        site=site)
+
+    for eps in eps_blocks:
+        if np.shape(eps)[1:] != q.mu.shape or len(eps) == 0:
+            raise ShapeMismatch("eps %s vs (K >= 1, %d)" % (np.shape(eps), q.dim))
+        value, grads = ad.value_and_grad(f, slots)
+        yield EnergyEstimate(value, np.concatenate(grads), a or 0.0, len(eps), batch)
+
+
 def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
                       batch, alpha, eps, hyper=None, learn_noise=False,
                       learn_prior=False) -> EnergyEstimate:
@@ -171,19 +209,8 @@ def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
     schedule.  The gradient covers (mu, log_var) plus, when enabled,
     log sigma2 and the prior slots.
     """
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty minibatch")
-    a, N = (None, data.n) if alpha is None else (alpha.alpha, alpha.n_data)
-    X, y = data.features[batch], data.targets[batch]
-    slots, unpack = _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior)
-
-    def f(*vs):
-        mu, log_var, h, pm, plv = unpack(vs)
-        return _mc_expr(mu, log_var, pm, plv, model, X, y, N, a, eps, hyper=h)
-
-    value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate(grads), a or 0.0, eps.shape[0], batch)
+    return next(bbalpha_energy_mc_blocks(q, prior, model, data, batch, alpha,
+                                         [eps], hyper, learn_noise, learn_prior))
 
 
 def vb_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,

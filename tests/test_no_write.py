@@ -87,7 +87,8 @@ def _leaf(a, tape):
 def test_reparam_vjps_take_read_only_g():
     _, q, eps, *_ = _problem("linreg")
     tape = ad.Tape()
-    out = en._reparam(_leaf(q.mu, tape), _leaf(q.log_var, tape), eps)
+    out = en._reparam(_leaf(q.mu, tape), _leaf(q.log_var, tape), eps,
+                      np.exp(0.5 * q.log_var), np.ones(len(eps)))
     _check_vjps(out, [_read_only(np.cos(np.arange(out.value.size))
                                  .reshape(out.shape))])
 
@@ -98,9 +99,12 @@ def test_alpha_energy_vjps_take_read_only_g(alpha):
     tape = ad.Tape()
     mu, lv = _leaf(q.mu, tape), _leaf(q.log_var, tape)
     pm, plv = _leaf(np.zeros(q.dim), tape), _leaf(np.zeros(q.dim), tape)
-    theta = en._reparam(mu, lv, eps)
+    site = en._site(q.mu, q.log_var, pm.value, plv.value, 40, alpha)
+    ones = np.ones(len(eps))
+    theta = en._reparam(mu, lv, eps, site[4], ones)
     loglik = model.batch_log_lik(theta, X, y)
-    out = en._alpha_energy(mu, lv, pm, plv, theta, loglik, 40, alpha, eps)
+    out = en._alpha_energy(mu, lv, pm, plv, theta, loglik, 40, alpha, eps,
+                           site, ones)
     # the root's unit seed and any other scalar
     _check_vjps(out, [_read_only(1.0), _read_only(2.5)])
 
