@@ -5,7 +5,8 @@ primitives (arithmetic, exp/log, rectifier, stable log-sum-exp, the normal
 log-CDF, matrix products).  Every op works on plain numpy arrays when no
 :class:`Var` is involved, so model code can be written once and evaluated
 with or without gradients.  The normal log-CDF and the plain-array normal
-CDF share one numpy kernel of Cody's rational approximations.
+CDF share one numpy kernel of Cody's rational approximations, which
+evaluates each element in its own range only.
 
 The gradients that :func:`value_and_grad` returns are fresh, writable arrays:
 they share no memory with each other, with the inputs or with the tape.
@@ -270,10 +271,15 @@ def logsumexp(a, axis=None):
 
 # W. J. Cody, "Rational Chebyshev approximations for the error function",
 # Math. Comp. 23 (1969), with the coefficients of R's pnorm.  Three ranges of
-# y = |z|, with w = y^2 and s(y) = Phi(-y) exp(w/2):
-#   y <= 0.674:             Phi(z) = 1/2 + z A(w) / B(w)
-#   0.674 < y <= sqrt(32):  s(y) = C(y) / D(y)
-#   y > sqrt(32):           s(y) = (1/sqrt(2 pi) - P(1/w) / (w Q(1/w))) / y
+# y = |z|, with w = y^2:
+#   y <= 0.674:             Phi(-y) = 1/2 - y A(w) / B(w)
+#   0.674 < y <= sqrt(32):  Phi(-y) = exp(-w/2) C(y) / D(y)
+#   y > sqrt(32):           Phi(-y) = exp(-w/2) (1/sqrt(2 pi)
+#                                       - P(1/w) / (w Q(1/w))) / y
+# Each element is evaluated in its own range only: the first two share one
+# pass over the whole call, where the direct exp(-w/2) is within 2e-15
+# relative, and the few elements beyond sqrt(32) are gathered and evaluated
+# apart.
 _CODY_A = (2.2352520354606839287, 161.02823106855587881, 1067.6894854603709582,
            18154.981253343561249, 0.065682337918207449113)
 _CODY_B = (47.20258190468824187, 976.09855173777669322, 10260.932208618978205,
@@ -290,94 +296,118 @@ _CODY_P = (0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
            0.02307344176494017303)
 _CODY_Q = (1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
            0.00378239633202758244, 7.29751555083966205e-5)
-# The six polynomials as rows of coefficients of w^0..w^5 and y w^0..y w^3,
-# so that one matrix product evaluates all of them on every element: the
-# numerators A, w^5 P(1/w) and C, then the denominators B, w^5 Q(1/w) and D.
-_CODY = np.array([
-    [_CODY_A[3], _CODY_A[2], _CODY_A[1], _CODY_A[0], _CODY_A[4], 0.0,
+# A, C, B and D as rows of coefficients of [1, w, w^2, w^3, w^4, y, y w,
+# y w^2, y w^3], so that one matrix product evaluates all four
+_CODY_ACBD = np.array([
+    [_CODY_A[3], _CODY_A[2], _CODY_A[1], _CODY_A[0], _CODY_A[4],
      0.0, 0.0, 0.0, 0.0],
-    [_CODY_P[5], *_CODY_P[:5], 0.0, 0.0, 0.0, 0.0],
-    [_CODY_C[7], _CODY_C[5], _CODY_C[3], _CODY_C[1], _CODY_C[8], 0.0,
+    [_CODY_C[7], _CODY_C[5], _CODY_C[3], _CODY_C[1], _CODY_C[8],
      _CODY_C[6], _CODY_C[4], _CODY_C[2], _CODY_C[0]],
-    [_CODY_B[3], _CODY_B[2], _CODY_B[1], _CODY_B[0], 1.0, 0.0,
-     0.0, 0.0, 0.0, 0.0],
-    [1.0, *_CODY_Q, 0.0, 0.0, 0.0, 0.0],
-    [_CODY_D[7], _CODY_D[5], _CODY_D[3], _CODY_D[1], 1.0, 0.0,
+    [_CODY_B[3], _CODY_B[2], _CODY_B[1], _CODY_B[0], 1.0, 0.0, 0.0, 0.0, 0.0],
+    [_CODY_D[7], _CODY_D[5], _CODY_D[3], _CODY_D[1], 1.0,
      _CODY_D[6], _CODY_D[4], _CODY_D[2], _CODY_D[0]],
 ])
+# w^5 P(1/w) and w^5 Q(1/w) as rows of coefficients of w^0..w^5
+_CODY_PQ = np.array([[_CODY_P[5], *_CODY_P[:5]], [1.0, *_CODY_Q]])
 _CODY_CENTRAL = 0.67448975
 _SQRT32 = np.sqrt(32.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _normal_cdf(zv, log=True):
-    """(log Phi(z), phi(z)/Phi(z)) from one evaluation of Cody's ranges, or
-    with log=False Phi(z) alone.
+    """(log Phi(z), phi(z)/Phi(z)) from Cody's ranges, or with log=False
+    Phi(z) alone.
 
-    Every range is evaluated on every element and the right one picked per
-    element; the ranges an element does not use may divide by zero or
-    overflow, which is silenced.  The temporaries are rows of one block
-    allocated once per call: kept as separate arrays they cost a
+    Every element gets its own range.  One pass over the call evaluates the
+    central and the middle range on every element, with y clipped at
+    sqrt(32) so that nothing overflows, and keeps the one each element is
+    in; the few elements beyond sqrt(32), if any, are gathered, evaluated
+    by _normal_cdf_tail and written over.  The temporaries are rows of one
+    block allocated once per call: kept as separate arrays they cost a
     probit_train entry call up to 20,000 page faults instead of about 250,
     as the allocator handed the top of the heap back and took it again."""
     z = zv.reshape(-1)
-    # rows: 0 y, 1 w, 2-11 the powers of w and y w, 12-17 the polynomials
-    ws = np.empty((18, z.size))
-    y, w, W, R = ws[0], ws[1], ws[2:12], ws[12:18]
+    # rows: 0-8 the powers [1, w, .., w^4, y, y w, .., y w^3], 9-12 A, C, B, D
+    ws = np.empty((13, z.size))
+    W, R = ws[:9], ws[9:]
+    y, w = W[5], W[1]
     np.abs(z, out=y)
+    tail = None
+    # a NaN makes the max NaN, which takes this branch too
+    if not y.max(initial=0.0) <= _SQRT32:
+        tail = np.flatnonzero(y > _SQRT32)
+        np.minimum(y, _SQRT32, out=y)
+    # one call per row: a row broadcast over several rows is slower
     np.multiply(y, y, out=w)
-    # powers of y clipped at 1e30, so that w^5 stays finite; beyond that the
-    # tail's P/Q has reached its limit
     W[0] = 1.0
-    yc = np.minimum(y, 1e30, out=W[6])
-    np.multiply(yc, yc, out=W[1])
-    np.multiply(W[1], W[1], out=W[2])
-    np.multiply(W[1], W[2], out=W[3])
-    np.multiply(W[2:4], W[2], out=W[4:6])
-    np.multiply(W[1:4], yc, out=W[7:10])
-    np.matmul(_CODY, W, out=R)
-    with np.errstate(divide="ignore", over="ignore"):
-        central, tail, middle = np.divide(R[:3], R[3:], out=R[:3])
-        # exp(-w/2) as exp(-a^2/512) exp(-(u - a)(u + a)/512) with u = 16 y
-        # and a = trunc(u): both exponents are exact to rounding, where
-        # exp(-w/2) itself would carry w's rounding error, up to 1e-13
-        # relative at y = 38
-        X = W[:2]
-        u = np.multiply(yc, 16.0, out=W[2])
-        a = np.trunc(u, out=W[3])
-        np.multiply(a, a, out=X[0])
-        np.subtract(u, a, out=X[1])
-        u += a
-        X[1] *= u
-        X *= -1.0 / 512.0
-        np.exp(X, out=X)
-        e = np.multiply(X[0], X[1], out=u)
-        central *= y
-        np.subtract(0.5, central, out=central)
-        central /= e
-        tail /= w
-        np.subtract(_INV_SQRT_2PI, tail, out=tail)
-        tail /= y
-        # s = Phi(-y) exp(w/2)
-        s = np.where(y <= _CODY_CENTRAL, central,
-                     np.where(y <= _SQRT32, middle, tail))
-        p = np.multiply(e, s, out=R[0])
+    np.multiply(w, w, out=W[2])
+    np.multiply(w, W[2], out=W[3])
+    np.multiply(W[2], W[2], out=W[4])
+    for k in (1, 2, 3):
+        np.multiply(W[k], y, out=W[5 + k])
+    np.matmul(_CODY_ACBD, W, out=R)
+    central, middle = R[0], R[1]
+    central /= R[2]
+    central *= y
+    np.subtract(0.5, central, out=central)
+    middle /= R[3]
+    e = np.multiply(w, -0.5, out=W[0])
+    np.exp(e, out=e)
+    middle *= e
+    # p = Phi(-y); Phi(z) is p for z < 0 and 1 - p for z >= 0
+    p = np.where(y <= _CODY_CENTRAL, central, middle)
+    neg = z < 0.0
+    q = np.subtract(1.0, p, out=central)
+    if not log:
+        cdf = np.where(neg, p, q)
+        if tail is not None:
+            cdf[tail] = _normal_cdf_tail(z[tail], log=False)
+        return cdf.reshape(zv.shape)
+    np.log(p, out=middle)
+    np.negative(p, out=R[2])
+    np.log1p(R[2], out=R[2])
+    value = np.where(neg, middle, R[2])
+    ratio = np.where(neg, p, q)
+    e *= _INV_SQRT_2PI
+    np.divide(e, ratio, out=ratio)
+    if tail is not None:
+        value[tail], ratio[tail] = _normal_cdf_tail(z[tail])
+    return value.reshape(zv.shape), ratio.reshape(zv.shape)
+
+
+def _normal_cdf_tail(z, log=True):
+    """_normal_cdf on elements with |z| > sqrt(32).
+
+    With s = Phi(-y) exp(w/2), log Phi and the ratio of z < 0 are
+    log s - w/2 and 1/(sqrt(2 pi) s), finite as far as w is.  exp(-w/2) is
+    taken as exp(-a^2/512) exp(-(u - a)(u + a)/512) with u = 16 y and
+    a = trunc(u): both exponents are exact to rounding, where exp(-w/2)
+    itself would carry w's rounding error, up to 1e-13 relative at y = 38.
+    w may overflow and s reach 0, which is silenced."""
+    y = np.abs(z)
+    # powers of y clipped at 1e30, so that w^5 stays finite; beyond that
+    # P/Q has reached its limit
+    yc = np.minimum(y, 1e30)
+    V = np.ones((6, z.size))
+    np.multiply(yc, yc, out=V[1])
+    np.multiply(V[1], V[1], out=V[2])
+    np.multiply(V[1], V[2], out=V[3])
+    np.multiply(V[1], V[3], out=V[4])
+    np.multiply(V[2], V[3], out=V[5])
+    num, den = _CODY_PQ @ V
+    u = 16.0 * yc
+    a = np.trunc(u)
+    e = (np.exp(a * a * (-1.0 / 512.0))
+         * np.exp((u - a) * (u + a) * (-1.0 / 512.0)))
+    neg = z < 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        w = y * y
+        s = (_INV_SQRT_2PI - num / den / w) / y
+        p = e * s
         if not log:
-            return np.where(z < 0.0, p, 1.0 - p).reshape(zv.shape)
-        # z < 0: Phi(z) = e s, so log Phi = log s - w/2 and the ratio is
-        # 1/(sqrt(2 pi) s); z >= 0: Phi(z) = 1 - e s
-        below, above = W[4:6], W[6:8]
-        np.log(s, out=below[0])
-        w *= -0.5
-        below[0] += w
-        np.divide(_INV_SQRT_2PI, s, out=below[1])
-        np.negative(p, out=above[0])
-        np.log1p(above[0], out=above[0])
-        np.subtract(1.0, p, out=above[1])
-        e *= _INV_SQRT_2PI
-        np.divide(e, above[1], out=above[1])
-        out = np.where(z < 0.0, below, above)
-    return out[0].reshape(zv.shape), out[1].reshape(zv.shape)
+            return np.where(neg, p, 1.0 - p)
+        return (np.where(neg, np.log(s) - 0.5 * w, np.log1p(-p)),
+                np.where(neg, _INV_SQRT_2PI / s, _INV_SQRT_2PI * e / (1.0 - p)))
 
 
 def norm_cdf(z):
@@ -388,11 +418,12 @@ def norm_cdf(z):
 def log_norm_cdf(z):
     """log Phi(z), accurate far into both tails.
 
-    One evaluation of W. J. Cody's rational Chebyshev approximations (Math.
-    Comp. 23, 1969) gives the value and the adjoint, the inverse Mills ratio
-    phi(z)/Phi(z).  For z < 0 both come from s = Phi(z) exp(z^2/2), so the
-    ratio 1/(sqrt(2 pi) s) stays accurate and finite for large negative z
-    (where it tends to -z - 1/z); for large positive z it is exactly 0.
+    W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969),
+    each element in its own range, give the value and the adjoint, the
+    inverse Mills ratio phi(z)/Phi(z).  Beyond |z| = sqrt(32), for z < 0
+    both come from s = Phi(z) exp(z^2/2), so the ratio 1/(sqrt(2 pi) s)
+    stays accurate and finite for large negative z (where it tends to
+    -z - 1/z); for large positive z it is exactly 0.
     """
     zv = _val(z)
     value, ratio = _normal_cdf(zv)

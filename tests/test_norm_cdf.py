@@ -2,7 +2,8 @@
 
 log Phi, the inverse Mills ratio phi/Phi (the adjoint of log Phi) and Phi
 itself are checked against mpmath at 50 digits, across all three ranges of
-Cody's approximation and far into the left tail.
+Cody's approximation and far into the left tail, both in calls that reach
+the tail range (|z| > sqrt(32)) and in calls that do not.
 """
 
 import numpy as np
@@ -23,6 +24,14 @@ Z = np.concatenate([
 ])
 
 
+# a call that stays within |z| <= sqrt(32), as probit training's do
+Z_CENTRAL = np.concatenate([
+    np.linspace(-BOUNDS[1], BOUNDS[1], 2001),
+    [b for x in (BOUNDS[0], -BOUNDS[0]) for b in (np.nextafter(x, -np.inf), x,
+                                                  np.nextafter(x, np.inf))],
+])
+
+
 def _reference(z):
     """(log Phi, phi/Phi, Phi) at 50 digits; Phi(z) = 1 - Phi(-z) for z > 0
     keeps log Phi accurate where it is close to 0."""
@@ -36,6 +45,11 @@ def _reference(z):
 @pytest.fixture(scope="module")
 def reference():
     return np.array([_reference(z) for z in Z])
+
+
+@pytest.fixture(scope="module")
+def reference_central():
+    return np.array([_reference(z) for z in Z_CENTRAL])
 
 
 def _rel_err(got, ref):
@@ -55,6 +69,38 @@ def test_mills_ratio_matches_mpmath(reference):
 
 def test_norm_cdf_matches_mpmath(reference):
     assert _rel_err(ad.norm_cdf(Z), reference[:, 2]).max() <= REL_TOL
+
+
+def test_call_without_tail_matches_mpmath(reference_central):
+    assert np.abs(Z_CENTRAL).max() <= BOUNDS[1]
+    log_cdf, ratio = ad._normal_cdf(Z_CENTRAL)
+    assert _rel_err(log_cdf, reference_central[:, 0]).max() <= REL_TOL
+    assert _rel_err(ratio, reference_central[:, 1]).max() <= REL_TOL
+    cdf = ad.norm_cdf(Z_CENTRAL)
+    assert _rel_err(cdf, reference_central[:, 2]).max() <= REL_TOL
+
+
+@pytest.mark.parametrize("z", [Z, Z_CENTRAL], ids=["with_tail", "central"])
+def test_element_does_not_depend_on_the_rest_of_the_call(z):
+    # alone, each element is a call of its own range only; the matrix
+    # product may round it differently with the width of the call, by a few
+    # units in the last place (up to 3.5 measured)
+    rtol = 8 * np.finfo(float).eps
+    log_cdf, ratio = ad._normal_cdf(z)
+    alone = np.array([ad._normal_cdf(z[i:i + 1]) for i in range(z.size)])
+    np.testing.assert_allclose(log_cdf, alone[:, 0, 0], rtol=rtol, atol=0)
+    np.testing.assert_allclose(ratio, alone[:, 1, 0], rtol=rtol, atol=0)
+    cdf_alone = [ad.norm_cdf(z[i:i + 1])[0] for i in range(z.size)]
+    np.testing.assert_allclose(ad.norm_cdf(z), cdf_alone, rtol=rtol, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_arguments_raise_no_warning():
+    np.testing.assert_array_equal(ad.norm_cdf(np.array([-1e200, 1e200])),
+                                  [0.0, 1.0])
+    log_cdf, ratio = ad._normal_cdf(np.array([-1e200]))
+    np.testing.assert_array_equal(log_cdf, [-np.inf])
+    np.testing.assert_array_equal(ratio, [1e200])
 
 
 def test_shapes_are_kept():

@@ -17,6 +17,7 @@ from bbalpha import likelihoods as lk
 from bbalpha.diagnostics import gradient_bias_study
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import TrainConfig, default_prior, train
+from bbalpha.predict import predict_probit
 
 NUMPY = "2.4.6"         # the version the digests were recorded with
 
@@ -53,6 +54,16 @@ def _train(kind, alpha, **settings):
     return np.concatenate([np.ravel(x) for x in out])
 
 
+def _predict_probit():
+    """P(y = +1) at a fixed q, wide enough that some of the normal CDF's
+    arguments (10 of 160) lie beyond sqrt(32)."""
+    data, model = _problem("probit")
+    q = FactorizedGaussian(np.array([1.0, -1.0, 1.5]),
+                           np.array([-1.0, -2.0, -1.5]))
+    return predict_probit(q, model, data.features[:8], k_samples=20,
+                          seed=6)[:, 1]
+
+
 CASES = {
     "bias_table": _bias_table,
     "probit_alpha0.5": lambda: _train("probit", 0.5),
@@ -61,6 +72,7 @@ CASES = {
     "linreg_vb": lambda: _train("linreg", "vb"),
     "linreg_alpha0.5_learn_prior": lambda: _train("linreg", 0.5,
                                                   learn_prior=True),
+    "predict_probit": _predict_probit,
 }
 
 # name -> (values, sha256 of their float64 bytes under numpy NUMPY)
@@ -87,16 +99,21 @@ PINNED = {
          -3.0859056319969262, 152.4379194890314, 129.63446062378378,
          92.14702255869605],
         "b91f82ed1a78c8af4d2fcf572601bd8fbc8fc0163215b46db3aeea40294cc645"),
+    "predict_probit": (
+        [0.9730184909971941, 0.004951860155669228, 0.9777781896361473,
+         0.034149169321127514, 0.9999966476127741, 0.30860788706741116,
+         0.12301624456765863, 0.9954903895580614],
+        "7f357207dcb68fbba17d2fdae3ed2a5dd36d6ea943eacf39cd2e10af62937afe"),
     "probit_alpha0.5": (
-        [-0.28828135780897274, 0.2615694544062423, 0.42143501350265233,
-         -2.7765944869905796, -2.645170903869754, -2.6220706513262204,
+        [-0.28828135780897274, 0.26156945440624235, 0.42143501350265233,
+         -2.7765944869905796, -2.6451709038697535, -2.6220706513262204,
          29.18275825435951, 25.619352196582664, 26.711180859574416],
-        "80d9268811b443751de07dc0464bc921a115c15a5ced1840ec79b548b280f68d"),
+        "81c1d60ce84ea662e32d267f9f8a64bc731bee259b299ad3cdc365a2562781db"),
     "probit_vb": (
         [-0.26531468819967846, 0.23103614708884646, 0.42395785865015556,
-         -3.066677753209233, -2.9535038827626416, -2.6610844405479717,
+         -3.066677753209233, -2.953503882762641, -2.6610844405479717,
          29.98919593655126, 26.45972577585813, 27.504310735994395],
-        "3341725b9d05aff6585e0dabbcf28af82a9d8845da4fc134e4b581bd3b787a3c"),
+        "86e7fab2fa0df2739f6fa1a367073586aacf4042c3e2598740ac80d240bfeb52"),
 }
 
 
