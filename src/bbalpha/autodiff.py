@@ -307,8 +307,9 @@ _CODY_ACBD = np.array([
     [_CODY_D[7], _CODY_D[5], _CODY_D[3], _CODY_D[1], 1.0,
      _CODY_D[6], _CODY_D[4], _CODY_D[2], _CODY_D[0]],
 ])
-# w^5 P(1/w) and w^5 Q(1/w) as rows of coefficients of w^0..w^5
-_CODY_PQ = np.array([[_CODY_P[5], *_CODY_P[:5]], [1.0, *_CODY_Q]])
+# w^5 P(1/w) and w^5 Q(1/w) as columns of coefficients of w^0..w^5
+_CODY_PQ = np.array([(_CODY_P[5], 1.0), *zip(_CODY_P[:5], _CODY_Q)])
+_POWERS = np.arange(6.0)
 _CODY_CENTRAL = 0.67448975
 _SQRT32 = np.sqrt(32.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -388,13 +389,7 @@ def _normal_cdf_tail(z, log=True):
     # powers of y clipped at 1e30, so that w^5 stays finite; beyond that
     # P/Q has reached its limit
     yc = np.minimum(y, 1e30)
-    V = np.ones((6, z.size))
-    np.multiply(yc, yc, out=V[1])
-    np.multiply(V[1], V[1], out=V[2])
-    np.multiply(V[1], V[2], out=V[3])
-    np.multiply(V[1], V[3], out=V[4])
-    np.multiply(V[2], V[3], out=V[5])
-    num, den = _CODY_PQ @ V
+    num, den = np.power.outer(yc * yc, _POWERS).dot(_CODY_PQ).T
     u = 16.0 * yc
     a = np.trunc(u)
     e = (np.exp(a * a * (-1.0 / 512.0))
