@@ -1,4 +1,4 @@
-"""Seeded outputs of the MC energy paths, pinned.
+"""Seeded outputs of the MC and exact energy paths, pinned.
 
 A fixed seed gives the same numbers across refactors.  Each case's values
 are checked at 1e-12 relative; where numpy's version is the recorded one, a
@@ -26,9 +26,13 @@ def _problem(kind):
     if kind == "probit":
         data = lk.gen_synthetic_probit(4, n=40, d=3)
         return data, lk.ProbitRegression(3)
+    if kind == "three_class":
+        return lk.gen_three_class(4, n=36), lk.MLPClassification(2, 4, 3, 3)
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 2))
     y = X @ np.array([1.0, -0.5]) + rng.normal(0, 0.5, size=40)
+    if kind == "mlp_regression":
+        return lk.Dataset(X, y), lk.MLPRegression(2, 4, log_sigma2=-1.0)
     return lk.Dataset(X, y), lk.LinearRegression(2, 0.25)
 
 
@@ -43,12 +47,12 @@ def _bias_table():
 
 
 def _train(kind, alpha, **settings):
-    """q, the epoch energies and any learned prior of a short MC run."""
+    """q, the epoch energies and any learned noise or prior of a short run."""
     data, model = _problem(kind)
     cfg = TrainConfig(alpha=alpha, k_samples=10, batch_size=16, epochs=3,
                       learning_rate=0.05, init_log_var=-3.0, seed=5, **settings)
     q, hypers, trace = train(model, data, default_prior(model.theta_dim), cfg)
-    out = [q.mu, q.log_var, trace.energy]
+    out = [q.mu, q.log_var, trace.energy, hypers.get("log_sigma2", [])]
     if "prior" in hypers:
         out += [hypers["prior"].eta1, hypers["prior"].eta2]
     return np.concatenate([np.ravel(x) for x in out])
@@ -72,6 +76,13 @@ CASES = {
     "linreg_vb": lambda: _train("linreg", "vb"),
     "linreg_alpha0.5_learn_prior": lambda: _train("linreg", 0.5,
                                                   learn_prior=True),
+    "linreg_exact_alpha0.5": lambda: _train("linreg", 0.5,
+                                            energy_mode="exact"),
+    "linreg_exact_alpha0.5_learn_prior": lambda: _train(
+        "linreg", 0.5, energy_mode="exact", learn_prior=True),
+    "mlp_regression_learn_noise": lambda: _train("mlp_regression", 0.5,
+                                                 learn_noise=True),
+    "three_class": lambda: _train("three_class", 0.5),
     "predict_probit": _predict_probit,
 }
 
@@ -94,11 +105,37 @@ PINNED = {
          71.49493247451133, 0.6556291270869153, -0.581278734872383,
          -0.7836809650481497, -0.7822546905711636],
         "2e325d650e18e7b606dfa5a23e8e92cc3b48a3d971ff0874d5dbb2bbf2b47bf6"),
+    "linreg_exact_alpha0.5": (
+        [0.1338345382883825, -0.14642837157631605, -2.850751149745877,
+         -2.851081594857451, 139.00018302144395, 126.29482026785342,
+         114.65743044695546],
+        "839f06798fdeae03068022e8426f50aedd8426894907d7bd9fad6327c100c351"),
+    "linreg_exact_alpha0.5_learn_prior": (
+        [0.13383679708956878, -0.14643509333781402, -2.850750002858546,
+         -2.851082274143793, 139.00018302144395, 126.23942958582023,
+         114.5423055180711, 0.1744205403016264, -0.17415583967000647,
+         -0.5809011105620746, -0.5809021233185406],
+        "cc6b1c9e0182f6c820f6b9f4412051f25e8c3dcb17232394efc6142f95372da1"),
     "linreg_vb": (
         [0.42321987318333454, -0.40029851094519164, -2.7601252222676127,
          -3.0859056319969262, 152.4379194890314, 129.63446062378378,
          92.14702255869605],
         "b91f82ed1a78c8af4d2fcf572601bd8fbc8fc0163215b46db3aeea40294cc645"),
+    "mlp_regression_learn_noise": (
+        [0.40253405787289026, -0.37150557134024675, 0.21279260002620204,
+         -0.24455052334659855, 0.08398990826525383, 0.18314515081874047,
+         -0.23799420530687365, 0.3314737365583326, 0.14823654963598867,
+         -0.33816056991062127, -0.18898997045439805, -0.23209266167275489,
+         0.5035637812868038, 0.04804976445234499, 0.07705840170512977,
+         -0.20498403206849944, -0.2804309543413241, -2.657221026240623,
+         -2.7128506978592983, -2.9731547137034986, -2.6347926810065507,
+         -2.6977964096028297, -2.6082063014444197, -2.8348930567141646,
+         -2.6766259912616435, -2.650835742411185, -2.5992156645960813,
+         -2.8513177951899955, -2.574961323718566, -2.9051709599497233,
+         -2.8545992486398397, -2.571976691209049, -2.832708901366027,
+         -2.61317371982653, 142.53372959781524, 114.7972988446141,
+         96.08278897464731, -0.5793338847124906],
+        "9be6b3d014253aef7f6d3c8e69729a43a8249eeb61cf71e45d89d485f8e6ce92"),
     "predict_probit": (
         [0.9730184909971941, 0.004951860155669228, 0.9777781896361473,
          0.034149169321127514, 0.9999966476127741, 0.30860788706741116,
@@ -114,6 +151,35 @@ PINNED = {
          -3.066677753209233, -2.953503882762641, -2.6610844405479717,
          29.98919593655126, 26.45972577585813, 27.504310735994395],
         "86e7fab2fa0df2739f6fa1a367073586aacf4042c3e2598740ac80d240bfeb52"),
+    "three_class": (
+        [-0.06790848108054587, 0.05400409187410761, -0.005563224824841674,
+         -0.03656497925755318, 0.3189831869230576, -0.05468067897044082,
+         0.15727431997334249, 0.02747274644266874, -0.1858863758686479,
+         -0.02995502806643228, 0.1724547982536448, -0.20084702674414395,
+         -0.03823070973314685, -0.2285003485165561, 0.03619098014562197,
+         0.007283066537356486, -0.027261693336482713, 0.06800477248340453,
+         0.11924278652325426, 0.08276061394719975, -0.12018341560921386,
+         0.1808216620250389, -0.21605309035214426, -0.24315896647776394,
+         -0.07024829190808854, -0.135920101449953, -0.18568332111915725,
+         0.012922372665033544, 0.14160440595018534, 0.07736942082178207,
+         -0.13134261406839376, -0.0858250167818258, -0.044194910760428995,
+         0.042588840774064086, -0.2590419896413145, -0.09881876686628678,
+         0.026833091798233396, -0.037170343395827456, -0.04481395142422618,
+         -2.5499143408772156, -2.5523531655796465, -2.5538185191693215,
+         -2.5501765096834106, -2.5520493535476523, -2.5482826445680007,
+         -2.551074313702952, -2.549330562365723, -2.5525715659635964,
+         -2.5511978977021745, -2.55168274894011, -2.54970033388817,
+         -2.5511186709079428, -2.5527499874585793, -2.551019099384114,
+         -2.549036979646179, -2.553964054233791, -2.5484802988973803,
+         -2.5495989847117566, -2.55022575923315, -2.549509790738292,
+         -2.5537751180381623, -2.5573891592453557, -2.550467235380874,
+         -2.5574816167945693, -2.5528310252468316, -2.5616094419721858,
+         -2.555953962768147, -2.5530778809590498, -2.554661738768119,
+         -2.5542990813413096, -2.5548946874834324, -2.550596398363328,
+         -2.553190490801367, -2.5509642411863673, -2.5524791367073263,
+         -2.5819289726590053, -2.5938454233985557, -2.6048080737840738,
+         80.07564415736599, 75.79693750947077, 74.44109252146451],
+        "09a0c3d121aee84e120135ffebb0bf4963e57440b76bc11b05e60feeca06004a"),
 }
 
 
