@@ -14,7 +14,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import autodiff as ad
-from .energy import AlphaParam, bbalpha_energy_mc_blocks
+from .energy import AlphaParam, SlotLayout
 from .errors import ConfigError
 
 
@@ -66,7 +66,8 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
     n = data.n
     batches = [rng.choice(n, size=min(batch_size, n), replace=False)
                for _ in range(n_minibatches)]
-    dim = 2 * model.theta_dim  # gradient over (mu, log_var)
+    layout = SlotLayout(q.dim, prior, hyper)
+    w = layout.pack(q)          # (mu, log_var): the study learns nothing else
     # column label -> the estimator's alpha; None is the VB energy
     columns = {a: AlphaParam(a, n) for a in alphas}
     columns["vb"] = None
@@ -79,14 +80,14 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
 
     bias = {(a, k): [] for a in columns for k in ks}
     spread = {(a, k): [] for a in columns for k in ks}
-    root_dim = np.sqrt(dim)
+    root_dim = np.sqrt(w.size)
     for b, batch in enumerate(batches):
         for a, alpha in columns.items():
-            ests = bbalpha_energy_mc_blocks(q, prior, model, data, batch, alpha,
-                                            chain(*eps[b]), hyper=hyper)
-            g_ref = next(ests).grad[:dim]
+            ests = layout.mc_estimates(w, model, data, batch, alpha,
+                                       chain(*eps[b]))
+            g_ref = next(ests).grad
             for k in ks:
-                grads = np.array([e.grad[:dim] for e in islice(ests, n_repeats)])
+                grads = np.array([e.grad for e in islice(ests, n_repeats)])
                 g_bar = grads.mean(axis=0)
                 bias[(a, k)].append(np.linalg.norm(g_bar - g_ref) / root_dim)
                 spread[(a, k)].append(np.sqrt(np.mean(grads.var(axis=0))))

@@ -10,14 +10,18 @@ cavity test, logZ0 - logZq) and a per-block step: a `reparam` node for the
 K samples, the model's log-likelihood (the samples' one consumer), and one
 `alpha_energy` node holding the rest of the diagonal-Gaussian arithmetic,
 in place on arrays it allocates, and its closed-form gradient.
-`bbalpha_energy_mc_blocks` takes one site step for all the eps blocks of one
-(q, minibatch, alpha); `bbalpha_energy_mc` is its one-block case.  The exact
-energy is one `exact_energy` node whose gradient is the moment-matching
-residual.  log E_q[(p/f)^alpha] is always logsumexp(alpha * delta_k) - log K
-with a max shift, never the log of a mean of exponentiated alpha * delta.
+`SlotLayout` is the one definition of the slot vector w that every
+evaluation takes its leaves from; its `mc_estimates` takes one site step for
+all the eps blocks of one (w, minibatch, alpha), and the public
+`bbalpha_energy_mc_blocks` and `bbalpha_energy_mc` build a layout from q.
+The exact energy is one `exact_energy` node whose gradient is the
+moment-matching residual.  log E_q[(p/f)^alpha] is always
+logsumexp(alpha * delta_k) - log K with a max shift, never the log of a mean
+of exponentiated alpha * delta.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,18 +161,83 @@ def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
                          alpha, eps, site, ones)
 
 
-def _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior):
-    p_mu, p_log_var = _prior_mv(prior)
-    slots = [q.mu.copy(), q.log_var.copy()]
-    slots += [np.atleast_1d(float(hyper))] if learn_noise else []
-    slots += [p_mu, p_log_var] if learn_prior else []
+class SlotLayout:
+    """The slot vector w = [mu, log_var, (log sigma2), (p_mu, p_log_var)] of
+    one run: `slots` maps each slot's name to its offsets (the prior group is
+    p_mu and p_log_var); the fixed prior's mean and log variance; and
+    `hyper`, the fixed noise or the noise slot's initial value.  Leaves are
+    views of w, which nothing writes: an update makes a new w."""
 
-    def unpack(vs):
-        h = vs[2][0] if learn_noise else hyper
-        pm, plv = vs[-2:] if learn_prior else (p_mu, p_log_var)
+    def __init__(self, dim, prior: NaturalParams, hyper=None,
+                 learn_noise=False, learn_prior=False):
+        if prior.dim != dim:
+            raise ShapeMismatch("prior dim %d vs %d" % (prior.dim, dim))
+        self.dim, self.hyper = dim, hyper
+        self.learn_noise, self.learn_prior = learn_noise, learn_prior
+        self.p_mu, self.p_log_var = _prior_mv(prior)
+        names = (["mu", "log_var"] + ["hyper"] * learn_noise
+                 + ["p_mu", "p_log_var"] * learn_prior)
+        sizes = [1 if name == "hyper" else dim for name in names]
+        self.slots = {name: slice(end - n, end) for name, n, end
+                      in zip(names, sizes, accumulate(sizes))}
+
+    def pack(self, q: FactorizedGaussian):
+        """w at q, the initial noise value and the fixed prior."""
+        parts = [q.mu, q.log_var]
+        parts += [[self.hyper]] if self.learn_noise else []
+        parts += [self.p_mu, self.p_log_var] if self.learn_prior else []
+        return np.concatenate(parts)
+
+    def leaves(self, w):
+        return [w[s] for s in self.slots.values()]
+
+    def unpack(self, vs):
+        """(mu, log_var, hyper, p_mu, p_log_var) from leaves or their Vars."""
+        h = vs[2][0] if self.learn_noise else self.hyper
+        pm, plv = vs[-2:] if self.learn_prior else (self.p_mu, self.p_log_var)
         return vs[0], vs[1], h, pm, plv
 
-    return slots, unpack
+    def results(self, w):
+        """(q, the learned hypers) at w, as train returns them."""
+        mu, log_var, h, pm, plv = self.unpack(self.leaves(w))
+        hypers = {"log_sigma2": float(h)} if self.learn_noise else {}
+        if self.learn_prior:
+            hypers["prior"] = NaturalParams(pm * np.exp(-plv), -0.5 * np.exp(-plv))
+        return FactorizedGaussian(mu, log_var), hypers
+
+    def mc_estimates(self, w, model, data, batch, alpha, eps_blocks):
+        """bbalpha_energy_mc_blocks at the slot vector w."""
+        batch = np.asarray(batch, dtype=int)
+        if batch.size == 0:
+            raise ValueError("empty minibatch")
+        a, N = (None, data.n) if alpha is None else (alpha.alpha, alpha.n_data)
+        X, y = data.features[batch], data.targets[batch]
+        leaves = self.leaves(w)
+        mu, log_var, _, pm, plv = self.unpack(leaves)
+        site = _site(mu, log_var, pm, plv, N, a)
+
+        def f(*vs):                 # at the block the loop holds
+            mu, log_var, h, pm, plv = self.unpack(vs)
+            return _mc_expr(mu, log_var, pm, plv, model, X, y, N, a, eps,
+                            hyper=h, site=site)
+
+        for eps in eps_blocks:
+            if np.shape(eps)[1:] != (self.dim,) or len(eps) == 0:
+                raise ShapeMismatch("eps %s vs (K >= 1, %d)" % (np.shape(eps), self.dim))
+            value, grads = ad.value_and_grad(f, leaves)
+            yield EnergyEstimate(value, np.concatenate(grads), a or 0.0, len(eps), batch)
+
+    def exact_estimate(self, w, model, data, alpha: AlphaParam):
+        """bbalpha_energy_exact_grad at the slot vector w."""
+        X, y = _conjugate_xy(model, data)
+
+        def f(*vs):
+            mu, log_var, _, pm, plv = self.unpack(vs)
+            return _exact_expr(mu, log_var, pm, plv, X, y, model.sigma2,
+                               alpha.alpha, alpha.n_data)
+
+        value, grads = ad.value_and_grad(f, self.leaves(w))
+        return EnergyEstimate(value, np.concatenate(grads), alpha.alpha, 0, np.arange(data.n))
 
 
 def bbalpha_energy_mc_blocks(q: FactorizedGaussian, prior: NaturalParams,
@@ -177,25 +246,9 @@ def bbalpha_energy_mc_blocks(q: FactorizedGaussian, prior: NaturalParams,
     """bbalpha_energy_mc at each (K, dim) block of `eps_blocks` in turn, one
     value_and_grad call each; the minibatch, the slots and the site step are
     set up once, the site from the very arrays every call takes as leaves."""
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ValueError("empty minibatch")
-    a, N = (None, data.n) if alpha is None else (alpha.alpha, alpha.n_data)
-    X, y = data.features[batch], data.targets[batch]
-    slots, unpack = _slots_and_unpack(q, hyper, learn_noise, prior, learn_prior)
-    mu, log_var, _, pm, plv = unpack(slots)
-    site = _site(mu, log_var, pm, plv, N, a)
-
-    def f(*vs):                     # at the block the loop holds
-        mu, log_var, h, pm, plv = unpack(vs)
-        return _mc_expr(mu, log_var, pm, plv, model, X, y, N, a, eps, hyper=h,
-                        site=site)
-
-    for eps in eps_blocks:
-        if np.shape(eps)[1:] != q.mu.shape or len(eps) == 0:
-            raise ShapeMismatch("eps %s vs (K >= 1, %d)" % (np.shape(eps), q.dim))
-        value, grads = ad.value_and_grad(f, slots)
-        yield EnergyEstimate(value, np.concatenate(grads), a or 0.0, len(eps), batch)
+    layout = SlotLayout(q.dim, prior, hyper, learn_noise, learn_prior)
+    yield from layout.mc_estimates(layout.pack(q), model, data, batch, alpha,
+                                   eps_blocks)
 
 
 def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
@@ -300,16 +353,8 @@ def bbalpha_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
 def bbalpha_energy_exact_grad(q, prior, model, data, alpha: AlphaParam,
                               learn_prior=False) -> EnergyEstimate:
     """Exact energy with its gradient over (mu, log_var[, prior slots])."""
-    X, y = _conjugate_xy(model, data)
-    slots, unpack = _slots_and_unpack(q, None, False, prior, learn_prior)
-
-    def f(*vs):
-        mu, log_var, _, pm, plv = unpack(vs)
-        return _exact_expr(mu, log_var, pm, plv, X, y, model.sigma2,
-                           alpha.alpha, alpha.n_data)
-
-    value, grads = ad.value_and_grad(f, slots)
-    return EnergyEstimate(value, np.concatenate(grads), alpha.alpha, 0, np.arange(data.n))
+    layout = SlotLayout(q.dim, prior, learn_prior=learn_prior)
+    return layout.exact_estimate(layout.pack(q), model, data, alpha)
 
 
 def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,

@@ -1,8 +1,8 @@
 """Stochastic optimization of the energy objectives.
 
-Adam and Robbins-Monro SGD over the flattened slot vector
-(mu, log_var[, log_sigma2][, prior mean, prior log-var]), with per-epoch
-batch partitions, periodic epsilon refresh and a divergence guard.
+Adam and Robbins-Monro SGD over the slot vector w that energy.SlotLayout
+defines, built once per run, with per-epoch batch partitions, periodic
+epsilon refresh and a divergence guard.
 PRNG streams for initialization, batching and sampling are split from the
 master seed so runs are reproducible bit-for-bit.
 """
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .energy import AlphaParam, bbalpha_energy_exact_grad, bbalpha_energy_mc
+from .energy import AlphaParam, SlotLayout
 from .errors import (ConfigError, DivergenceDetected, ImproperCavity,
                      NonFiniteIntermediate)
-from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
+from .expfam import FactorizedGaussian, NaturalParams
 
 
 @dataclass
@@ -134,22 +134,6 @@ def default_prior(dim) -> NaturalParams:
     return NaturalParams(np.zeros(dim), -0.5 * np.ones(dim))
 
 
-def _split_slots(w, dim, learn_noise, learn_prior):
-    mu = w[:dim]
-    log_var = w[dim:2 * dim]
-    i = 2 * dim
-    hyper = None
-    if learn_noise:
-        hyper = float(w[i])
-        i += 1
-    prior = None
-    if learn_prior:
-        p_mu = w[i:i + dim]
-        p_log_var = w[i + dim:i + 2 * dim]
-        prior = NaturalParams(p_mu * np.exp(-p_log_var), -0.5 * np.exp(-p_log_var))
-    return FactorizedGaussian(mu, log_var), hyper, prior
-
-
 # On a 2-CPU x86 VM a normal takes 15-20 ns to draw, and handing a draw to
 # the helper thread costs 0.2-0.4 ms per step.  From 1 << 15 normals (about
 # 0.6 ms) the overlap saves more than the hand-off costs; with a thread for
@@ -190,9 +174,10 @@ def train(model, data, prior, cfg: TrainConfig):
     The epoch loop shuffles indices without replacement; epsilon is
     refreshed every cfg.refresh_every minibatches.  Raises
     DivergenceDetected when an epoch's mean energy rises above
-    cfg.divergence_factor * max(|epoch-0 energy|, 1), and at any step whose
+    cfg.divergence_factor * max(|epoch-0 energy|, 1), at any step whose
     energy or gradient is non-finite, or whose cavity is improper, before
-    the optimizer applies it.  The error carries the epoch and the global step;
+    the optimizer applies it, and at any step whose update leaves a
+    non-finite slot.  The error carries the epoch and the global step;
     when a tape op produced the non-finite value (NonFiniteIntermediate) it
     also carries the op name.  It chains the original error.
 
@@ -209,58 +194,43 @@ def train(model, data, prior, cfg: TrainConfig):
         raise ConfigError("learn_noise needs a model with a noise slot; "
                           "%s has none" % model.kind)
     dim = model.theta_dim
-    q0 = init_q(model, cfg)
+    layout = SlotLayout(dim, prior, model.log_sigma2 if cfg.learn_noise else None,
+                        cfg.learn_noise, cfg.learn_prior)
+    w = layout.pack(init_q(model, cfg))
     seqs = np.random.SeedSequence(cfg.seed).spawn(3)
     batch_rng = np.random.default_rng(seqs[1])
     eps_rng = np.random.default_rng(seqs[2])
-
-    w = np.concatenate([q0.mu, q0.log_var])
-    if cfg.learn_noise:
-        w = np.concatenate([w, [model.log_sigma2]])
-    if cfg.learn_prior:
-        mv = nat_to_meanvar(prior)
-        w = np.concatenate([w, mv.mu, np.log(mv.var)])
 
     alpha = None
     if cfg.alpha != "vb":
         alpha = AlphaParam(float(cfg.alpha), data.n)
 
-    state = AdamState(np.zeros_like(w), np.zeros_like(w))
-    trace = TrainTrace()
-    n_refresh = 0
+    # the exact energy takes one full batch per epoch and no eps
+    n_refresh, batch_size = 0, data.n
+    estimate = lambda w, batch, eps: layout.exact_estimate(w, model, data, alpha)
     if cfg.energy_mode == "mc":
         steps = cfg.epochs * -(-data.n // cfg.batch_size)
-        n_refresh = -(-steps // cfg.refresh_every)
+        n_refresh, batch_size = -(-steps // cfg.refresh_every), cfg.batch_size
+        estimate = lambda w, batch, eps: next(
+            layout.mc_estimates(w, model, data, batch, alpha, (eps,)))
+
+    state = AdamState(np.zeros_like(w), np.zeros_like(w))
+    trace = TrainTrace()
     threaded = n_refresh > 0 and cfg.k_samples * dim >= _EPS_THREAD_MIN
     with (ThreadPoolExecutor(max_workers=1) if threaded
           else nullcontext()) as pool:
         eps_blocks = _eps_stream(eps_rng, n_refresh, (cfg.k_samples, dim),
                                  pool)
-        step = 0
+        eps, step = None, 0
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             perm = batch_rng.permutation(data.n)
-            if cfg.energy_mode == "exact":
-                batches = [np.arange(data.n)]
-            else:
-                batches = [perm[i:i + cfg.batch_size]
-                           for i in range(0, data.n, cfg.batch_size)]
             epoch_energy = []
-            for batch in batches:
-                q, hyper, learned_prior = _split_slots(w, dim, cfg.learn_noise,
-                                                       cfg.learn_prior)
-                prior_now = learned_prior if learned_prior is not None else prior
-                if cfg.energy_mode != "exact" and step % cfg.refresh_every == 0:
+            for i in range(0, data.n, batch_size):
+                if n_refresh and step % cfg.refresh_every == 0:
                     eps = next(eps_blocks)
                 try:
-                    if cfg.energy_mode == "exact":
-                        est = bbalpha_energy_exact_grad(q, prior_now, model, data,
-                                                        alpha, learn_prior=cfg.learn_prior)
-                    else:
-                        est = bbalpha_energy_mc(q, prior_now, model, data, batch,
-                                                alpha, eps, hyper=hyper,
-                                                learn_noise=cfg.learn_noise,
-                                                learn_prior=cfg.learn_prior)
+                    est = estimate(w, perm[i:i + batch_size], eps)
                 except NonFiniteIntermediate as e:
                     raise DivergenceDetected(
                         "op '%s' produced a non-finite value at epoch %d, step %d"
@@ -274,11 +244,17 @@ def train(model, data, prior, cfg: TrainConfig):
                     raise DivergenceDetected(
                         "non-finite energy or gradient at epoch %d, step %d"
                         % (epoch, step), epoch=epoch, step=step)
-                if cfg.optimizer == "adam":
-                    w = adam_step(state, w, est.grad, cfg.learning_rate,
-                                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-                else:
-                    w = w - robbins_monro_lr(cfg, step + 1) * est.grad
+                # an overflow is reported by the check below, not as a warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if cfg.optimizer == "adam":
+                        w = adam_step(state, w, est.grad, cfg.learning_rate,
+                                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                    else:
+                        w = w - robbins_monro_lr(cfg, step + 1) * est.grad
+                if not np.isfinite(w).all():
+                    raise DivergenceDetected(
+                        "non-finite parameters after the update at epoch %d, "
+                        "step %d" % (epoch, step), epoch=epoch, step=step)
                 epoch_energy.append(est.value)
                 step += 1
             mean_e = float(np.mean(epoch_energy))
@@ -295,10 +271,5 @@ def train(model, data, prior, cfg: TrainConfig):
                 raise DivergenceDetected("energy grew more than %gx"
                                          % cfg.divergence_factor, epoch=epoch)
 
-    q, hyper, learned_prior = _split_slots(w, dim, cfg.learn_noise, cfg.learn_prior)
-    hypers = {}
-    if cfg.learn_noise:
-        hypers["log_sigma2"] = hyper
-    if cfg.learn_prior:
-        hypers["prior"] = learned_prior
+    q, hypers = layout.results(w)
     return q, hypers, trace

@@ -41,8 +41,8 @@ def _problem(kind, learn_prior, seed, n_data=40, B=7, K=6, d=2):
     p_var = rng.uniform(0.5, 2.0, size=dim)
     prior = NaturalParams(rng.normal(0, 0.3, size=dim) / p_var, -0.5 / p_var)
     eps = rng.standard_normal((K, dim))
-    slots, unpack = en._slots_and_unpack(q, hyper, hyper is not None, prior,
-                                         learn_prior)
+    layout = en.SlotLayout(dim, prior, hyper, hyper is not None, learn_prior)
+    slots, unpack = layout.leaves(layout.pack(q)), layout.unpack
 
     def fn(expr, alpha):
         def f(*vs):

@@ -516,6 +516,10 @@ _NO_FILE = "No such file or directory"
     (["train", "{cfg}"], {"dataset": {"nn": 30}}, 2, "unknown dataset key(s): nn"),
     (["bias", "{cfg}", "--out", "{tmp}/b.csv"], {"bias": {"n_repeat": 3}}, 2,
      "unknown bias key(s): n_repeat"),
+    (["train", "{cfg}"], {"model": {"kind": "linreg"},
+                          "train": {"optimizer": "sgd", "sgd_a": 1.7e308,
+                                    "sgd_b": 1.0}}, 3,
+     "divergence: non-finite parameters after the update at epoch 0, step 0"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -526,7 +530,7 @@ _NO_FILE = "No such file or directory"
         "bias_n_minibatches_0", "bias_ks_0", "bias_k_truth_0", "model_n_hidden1_str",
         "model_n_hidden_0", "model_n_classes_float", "model_sigma2_str",
         "model_log_sigma2_list", "experiment_key_typo", "dataset_key_typo",
-        "bias_key_typo"])
+        "bias_key_typo", "sgd_update_overflows"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)

@@ -57,8 +57,8 @@ def _one_evaluation(q, prior, model, data, batch, alpha, eps, hyper,
     derives it from the leaves of its own value_and_grad call."""
     a, N = (None, data.n) if alpha is None else (alpha.alpha, alpha.n_data)
     X, y = data.features[batch], data.targets[batch]
-    slots, unpack = en._slots_and_unpack(q, hyper, learn_noise, prior,
-                                         learn_prior)
+    layout = en.SlotLayout(q.dim, prior, hyper, learn_noise, learn_prior)
+    slots, unpack = layout.leaves(layout.pack(q)), layout.unpack
 
     def f(*vs):
         mu, log_var, h, pm, plv = unpack(vs)

@@ -41,7 +41,8 @@ def _problem(seed, alpha):
 
 
 def _reference(q, prior, model, data, alpha, n_data=None):
-    slots, unpack = en._slots_and_unpack(q, None, False, prior, True)
+    layout = en.SlotLayout(q.dim, prior, learn_prior=True)
+    slots, unpack = layout.leaves(layout.pack(q)), layout.unpack
 
     def f(*vs):
         mu, log_var, _, pm, plv = unpack(vs)

@@ -53,7 +53,8 @@ def _energy_problem(K, B, seed=1, n_data=40):
     p_var = rng.uniform(0.5, 2.0, size=dim)
     prior = NaturalParams(rng.normal(0, 0.3, size=dim) / p_var, -0.5 / p_var)
     eps = rng.standard_normal((K, dim))
-    slots, unpack = en._slots_and_unpack(q, None, False, prior, True)
+    layout = en.SlotLayout(dim, prior, learn_prior=True)
+    slots, unpack = layout.leaves(layout.pack(q)), layout.unpack
 
     def fn(expr, m, alpha):
         def f(*vs):

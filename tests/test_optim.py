@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from bbalpha import autodiff as ad
+from bbalpha import energy as en
+from bbalpha import expfam
 from bbalpha import likelihoods as lk
 from bbalpha import optim
 from bbalpha.energy import AlphaParam, bbalpha_energy_exact
 from bbalpha.errors import (DivergenceDetected, ImproperCavity,
-                            NonFiniteIntermediate)
+                            NonFiniteIntermediate, ShapeMismatch)
 from bbalpha.optim import (AdamState, TrainConfig, adam_step, default_prior,
                            glorot_layer_dims, init_q, robbins_monro_lr, train)
 
@@ -300,18 +302,19 @@ def test_train_eps_is_the_serial_stream(monkeypatch, d, k, threaded,
                       refresh_every=refresh_every, seed=11)
     assert (k * d >= optim._EPS_THREAD_MIN) == threaded
     seen, threads, counts = [], [], []
-    energy, stream = optim.bbalpha_energy_mc, optim._eps_stream
+    energy, stream = en.SlotLayout.mc_estimates, optim._eps_stream
 
-    def spy_energy(q, prior, model, data, batch, alpha, eps, **kw):
+    def spy_energy(layout, w, model, data, batch, alpha, eps_blocks):
+        (eps,) = eps_blocks
         seen.append(eps.copy())
         threads.append(threading.active_count())
-        return energy(q, prior, model, data, batch, alpha, eps, **kw)
+        return energy(layout, w, model, data, batch, alpha, eps_blocks)
 
     def spy_stream(rng, n, shape, pool=None):
         counts.append(n)
         return stream(rng, n, shape, pool)
 
-    monkeypatch.setattr(optim, "bbalpha_energy_mc", spy_energy)
+    monkeypatch.setattr(en.SlotLayout, "mc_estimates", spy_energy)
     monkeypatch.setattr(optim, "_eps_stream", spy_stream)
     before = threading.active_count()
     train(model, data, default_prior(d), cfg)
@@ -332,9 +335,8 @@ def test_no_thread_outlives_train(monkeypatch, outcome):
     data, model = _wide_linreg(400)
     cfg = TrainConfig(alpha=0.5, k_samples=100, batch_size=5, epochs=2, seed=0,
                       energy_mode="exact" if outcome == "exact" else "mc")
-    name = ("bbalpha_energy_exact_grad" if outcome == "exact"
-            else "bbalpha_energy_mc")
-    energy, threads = getattr(optim, name), []
+    name = "exact_estimate" if outcome == "exact" else "mc_estimates"
+    energy, threads = getattr(en.SlotLayout, name), []
 
     def spy(*args, **kw):
         threads.append(threading.active_count())
@@ -342,7 +344,7 @@ def test_no_thread_outlives_train(monkeypatch, outcome):
             raise ImproperCavity("negative cavity precision")
         return energy(*args, **kw)
 
-    monkeypatch.setattr(optim, name, spy)
+    monkeypatch.setattr(en.SlotLayout, name, spy)
     before = set(threading.enumerate())
     if outcome == "raises":
         with pytest.raises(DivergenceDetected) as e:
@@ -354,3 +356,39 @@ def test_no_thread_outlives_train(monkeypatch, outcome):
     # the helper ran in mc mode, and exact mode draws nothing and starts none
     extra = 0 if outcome == "exact" else 1
     assert set(threads) == {len(before) + extra}
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_train_sets_the_slot_layout_up_once(monkeypatch, mode):
+    # 3 epochs of 4 steps (mc) or of 1 step (exact), with a learned prior
+    data, model = _wide_linreg(2)
+    cfg = TrainConfig(alpha=0.5, k_samples=5, batch_size=4, epochs=3, seed=0,
+                      learn_prior=True, energy_mode=mode)
+    prior = default_prior(2)
+    counts = {"_prior_mv": 0, "FactorizedGaussian": 0, "NaturalParams": 0}
+
+    def count(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(en, "_prior_mv", count("_prior_mv", en._prior_mv))
+    for cls in (expfam.FactorizedGaussian, expfam.NaturalParams):
+        monkeypatch.setattr(cls, "__post_init__",
+                            count(cls.__name__, cls.__post_init__))
+    train(model, data, prior, cfg)
+    # init_q's q and the returned q, and the returned prior
+    assert counts == {"_prior_mv": 1, "FactorizedGaussian": 2,
+                      "NaturalParams": 1}
+
+
+def test_prior_of_another_dim_is_a_shape_mismatch():
+    data, model = _wide_linreg(2)
+    with pytest.raises(ShapeMismatch, match="prior dim 3 vs 2"):
+        train(model, data, default_prior(3),
+              TrainConfig(alpha=0.5, k_samples=5, batch_size=4, epochs=1))
+    q = init_q(model, TrainConfig())
+    with pytest.raises(ShapeMismatch, match="prior dim 3 vs 2"):
+        en.bbalpha_energy_mc(q, default_prior(3), model, data, np.arange(4),
+                             AlphaParam(0.5, data.n), np.zeros((5, 2)))

@@ -102,9 +102,9 @@ PINNED = {
     "linreg_alpha0.5_learn_prior": (
         [0.4207595172280839, -0.3979287132202652, -2.580254346167966,
          -2.616024419176383, 120.72622397716766, 98.72556586765468,
-         71.49493247451133, 0.6556291270869153, -0.581278734872383,
+         71.49493247451133, 0.6556291270869155, -0.581278734872383,
          -0.7836809650481497, -0.7822546905711636],
-        "2e325d650e18e7b606dfa5a23e8e92cc3b48a3d971ff0874d5dbb2bbf2b47bf6"),
+        "65ca7a049c9fc2a32305cc52e1145155c95624231fe16d0118a947663dc587da"),
     "linreg_exact_alpha0.5": (
         [0.1338345382883825, -0.14642837157631605, -2.850751149745877,
          -2.851081594857451, 139.00018302144395, 126.29482026785342,
