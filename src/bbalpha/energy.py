@@ -58,8 +58,11 @@ class EnergyEstimate:
     batch_ids: np.ndarray
 
 
-def _prior_mv(prior: NaturalParams):
-    # nat_to_meanvar's formula, without validating what NaturalParams did
+def _prior_mv(prior: NaturalParams, dim):
+    """The prior's mean and log variance, by nat_to_meanvar's formula; a
+    prior whose dim is not q's raises here, not as a broadcast error later."""
+    if prior.dim != dim:
+        raise ShapeMismatch("prior dim %d vs %d" % (prior.dim, dim))
     var = -0.5 / prior.eta2
     return prior.eta1 * var, np.log(var)
 
@@ -170,11 +173,9 @@ class SlotLayout:
 
     def __init__(self, dim, prior: NaturalParams, hyper=None,
                  learn_noise=False, learn_prior=False):
-        if prior.dim != dim:
-            raise ShapeMismatch("prior dim %d vs %d" % (prior.dim, dim))
         self.dim, self.hyper = dim, hyper
         self.learn_noise, self.learn_prior = learn_noise, learn_prior
-        self.p_mu, self.p_log_var = _prior_mv(prior)
+        self.p_mu, self.p_log_var = _prior_mv(prior, dim)
         names = (["mu", "log_var"] + ["hyper"] * learn_noise
                  + ["p_mu", "p_log_var"] * learn_prior)
         sizes = [1 if name == "hyper" else dim for name in names]
@@ -345,7 +346,7 @@ def bbalpha_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
                          data, alpha: AlphaParam) -> float:
     """Exact tied-site energy; conjugate (Gaussian-likelihood) models only."""
     X, y = _conjugate_xy(model, data)
-    p_mu, p_log_var = _prior_mv(prior)
+    p_mu, p_log_var = _prior_mv(prior, q.dim)
     return float(_exact_expr(q.mu, q.log_var, p_mu, p_log_var, X, y,
                              model.sigma2, alpha.alpha, alpha.n_data))
 
@@ -386,7 +387,7 @@ def lower_bound_certificate(q, prior, model, data, alpha: AlphaParam) -> float:
         raise ValueError("certificate only holds for alpha <= N")
     e = bbalpha_energy_exact(q, prior, model, data, alpha)
     N = alpha.n_data
-    p_mu, p_log_var = _prior_mv(prior)
+    p_mu, p_log_var = _prior_mv(prior, q.dim)
     g = _exact_expr(p_mu, p_log_var, p_mu, p_log_var, data.features,
                     np.asarray(data.targets, float), model.sigma2, float(N), N)
     return e - float(g)
@@ -400,7 +401,7 @@ def stationarity_residual(q, prior, model, data, alpha: AlphaParam) -> float:
     lambda_q without its factor N/alpha - 1.
     """
     X, y = _conjugate_xy(model, data)
-    p_mu, p_log_var = _prior_mv(prior)
+    p_mu, p_log_var = _prior_mv(prior, q.dim)
     _, _, (first, second) = _exact_closed_form(
         q.mu, q.log_var, p_mu, p_log_var, X, y, model.sigma2, alpha.alpha,
         alpha.n_data)

@@ -98,7 +98,7 @@ def test_exact_energy_is_one_node_over_the_slots():
         seen.append(out)
         return out
 
-    p_mu, p_log_var = en._prior_mv(prior)
+    p_mu, p_log_var = en._prior_mv(prior, q.dim)
     ad.value_and_grad(f, [q.mu, q.log_var, p_mu, p_log_var])
     assert seen[0].op_name == "exact_energy"
     assert [p.op_name for p, _ in seen[0].parents] == ["leaf"] * 4

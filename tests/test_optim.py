@@ -392,3 +392,6 @@ def test_prior_of_another_dim_is_a_shape_mismatch():
     with pytest.raises(ShapeMismatch, match="prior dim 3 vs 2"):
         en.bbalpha_energy_mc(q, default_prior(3), model, data, np.arange(4),
                              AlphaParam(0.5, data.n), np.zeros((5, 2)))
+    with pytest.raises(ShapeMismatch, match="prior dim 3 vs 2"):
+        en.bbalpha_energy_exact(q, default_prior(3), model, data,
+                                AlphaParam(0.5, data.n))
