@@ -185,7 +185,7 @@ class SlotLayout:
     def pack(self, q: FactorizedGaussian):
         """w at q, the initial noise value and the fixed prior."""
         parts = [q.mu, q.log_var]
-        parts += [[self.hyper]] if self.learn_noise else []
+        parts += [[float(self.hyper)]] if self.learn_noise else []
         parts += [self.p_mu, self.p_log_var] if self.learn_prior else []
         return np.concatenate(parts)
 

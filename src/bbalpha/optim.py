@@ -205,6 +205,8 @@ def train(model, data, prior, cfg: TrainConfig):
     if cfg.alpha != "vb":
         alpha = AlphaParam(float(cfg.alpha), data.n)
 
+    state = AdamState(np.zeros_like(w), np.zeros_like(w))
+    trace = TrainTrace()
     # the exact energy takes one full batch per epoch and no eps
     n_refresh, batch_size = 0, data.n
     estimate = lambda w, batch, eps: layout.exact_estimate(w, model, data, alpha)
@@ -213,9 +215,6 @@ def train(model, data, prior, cfg: TrainConfig):
         n_refresh, batch_size = -(-steps // cfg.refresh_every), cfg.batch_size
         estimate = lambda w, batch, eps: next(
             layout.mc_estimates(w, model, data, batch, alpha, (eps,)))
-
-    state = AdamState(np.zeros_like(w), np.zeros_like(w))
-    trace = TrainTrace()
     threaded = n_refresh > 0 and cfg.k_samples * dim >= _EPS_THREAD_MIN
     with (ThreadPoolExecutor(max_workers=1) if threaded
           else nullcontext()) as pool:
