@@ -1,25 +1,32 @@
-"""Seeded outputs of the MC and exact energy paths, pinned.
+"""Seeded outputs of the MC and exact energy paths, and of the commands
+built on them, pinned.
 
 A fixed seed gives the same numbers across refactors.  Each case's values
 are checked at 1e-12 relative; where numpy's version is the recorded one, a
 sha256 of their float64 bytes is checked too, so that a change that moves
 bits at round-off, such as a new summation order, shows here.  A change
 that moves them on purpose pins the new ones (running this file prints
-them) and says in CHANGES.md what moved and by how much.
+them) and says in CHANGES.md what moved and by how much.  The `analytic`
+and `divergence` tables are pinned as the commands write them, at ten
+significant digits.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from bbalpha import cli
 from bbalpha import likelihoods as lk
 from bbalpha.diagnostics import gradient_bias_study
-from bbalpha.expfam import FactorizedGaussian
+from bbalpha.energy import vb_energy_exact
+from bbalpha.expfam import FactorizedGaussian, NaturalParams
 from bbalpha.optim import TrainConfig, default_prior, train
 from bbalpha.predict import predict_probit
 
 NUMPY = "2.4.6"         # the version the digests were recorded with
+INF = float("inf")      # a divergence the table writes as inf
 
 
 def _problem(kind):
@@ -68,6 +75,40 @@ def _predict_probit():
                           seed=6)[:, 1]
 
 
+def _vb_energy_exact():
+    """The closed-form VB energy of the linreg case at a standard-normal
+    prior and at one whose variances are not 1."""
+    data, model = _problem("linreg")
+    q = FactorizedGaussian(np.array([0.9, -0.4]), np.array([-3.0, -3.5]))
+    priors = [default_prior(2), NaturalParams([0.3, -0.2], [-0.7, -0.4])]
+    return [vb_energy_exact(q, p, model, data) for p in priors]
+
+
+def _to_nat():
+    nat = FactorizedGaussian(np.array([0.9, -0.4, 1.7]),
+                             np.array([-3.0, -3.5, 0.8])).to_nat()
+    return np.concatenate([nat.eta1, nat.eta2])
+
+
+def _toy_predictive():
+    """Predictive mean and std of a few epochs on the cubic toy data."""
+    out = cli.run_toy_predictive([0.5, 1.0], seed=2, epochs=20, k_samples=10,
+                                 n_hidden=10, grid=np.linspace(-4.0, 4.0, 5),
+                                 pred_samples=20)
+    return np.concatenate([np.concatenate(out[a][1:]) for a in (0.5, 1.0)])
+
+
+def _table(*argv):
+    """The numbers of the CSV table that a `bbalpha` command writes."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(cli.main, [*argv, "--out", "table.csv"])
+        assert result.exit_code == 0, result.output
+        with open("table.csv", encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:]
+    return [float(v) for row in rows for v in row.split(",")]
+
+
 CASES = {
     "bias_table": _bias_table,
     "probit_alpha0.5": lambda: _train("probit", 0.5),
@@ -84,16 +125,47 @@ CASES = {
                                                  learn_noise=True),
     "three_class": lambda: _train("three_class", 0.5),
     "predict_probit": _predict_probit,
+    "vb_energy_exact": _vb_energy_exact,
+    "to_nat": _to_nat,
+    "toy_predictive": _toy_predictive,
+    "analytic_example1": lambda: _table("analytic", "--example", "1",
+                                        "--steps", "5"),
+    "analytic_example2": lambda: _table("analytic", "--example", "2",
+                                        "--sigma2", "0.5", "--steps", "5"),
+    # alpha 0 and 1 are the KL limits; beyond alpha 2 the divergence is inf
+    "divergence": lambda: _table("divergence", "--mu1", "0,1", "--var1", "1,2",
+                                 "--mu2", "0.5,-1", "--var2", "0.5,3",
+                                 "--alpha-min", "-1", "--alpha-max", "3",
+                                 "--steps", "9"),
 }
 
 # name -> (values, sha256 of their float64 bytes under numpy NUMPY)
 PINNED = {
+    "analytic_example1": (
+        [0.01, 0.4987484414, 0.5006265635, 0.5, 7.845082257e-07, 0.505,
+         0.4335770209, 0.5355744505, 0.5, 0.002417089323, 1.0, 0.3660254038,
+         0.5773502692, 0.5, 0.01085950215, 1.495, 0.3033616758, 0.6223846806,
+         0.5, 0.0258191005, 1.99, 0.2509398452, 0.6658322943, 0.5,
+         0.04523485855],
+        "bec792e4134868816313555af3daad62f52bfb7152ba06665562c14960e51590"),
+    "analytic_example2": (
+        [0.01, 1.991974364, 0.2006441186, 0.5555555556, 0.5108307988, 0.505,
+         1.529931703, 0.2463137057, 0.5555555556, 0.5341055688, 1.0, 1.0,
+         0.3333333333, 0.5555555556, 0.6666666667, 1.495, 0.6084116754,
+         0.451095934, 0.5555555556, 0.9529426295, 1.99, 0.4028985338,
+         0.553772081, 0.5555555556, 1.261250199],
+        "a6d8fb32851a39abc4f6013b2948eb68a8e82501786ec6faaa75417d7bbc8da6"),
     "bias_table": (
         [11.963842411880366, 0.23660154659038568, 32.71888772250965,
          1.341866377717172, -0.35469641828395937, 9.512927942667439,
          11.72724086528998, 0.0, 32.71888772250965, 1.6965627960011314, 0.0,
          10.88869761659802],
         "498fdff9af2a550d87bfc2a86881ac4cbdd8ba0c2c6b3473fd00597970efb4e5"),
+    "divergence": (
+        [-1.0, 42.50006204, -0.5, 3.00231801, 0.0, 1.268841036, 0.5,
+         0.9808466726, 1.0, 1.106158964, 1.5, 2.295209823, 2.0, INF, 2.5, INF,
+         3.0, INF],
+        "ba909cc0850c5084d5d5417124b2bee07fd8da4562c1200123a0e3d84968ff73"),
     "linreg_alpha0.5": (
         [0.4206902700889824, -0.39768550052311025, -2.580281113064381,
          -2.6159297716626138, 120.78516090907681, 98.9899525600376,
@@ -180,6 +252,22 @@ PINNED = {
          -2.5819289726590053, -2.5938454233985557, -2.6048080737840738,
          80.07564415736599, 75.79693750947077, 74.44109252146451],
         "09a0c3d121aee84e120135ffebb0bf4963e57440b76bc11b05e60feeca06004a"),
+    "to_nat": (
+        [18.0769832308689, -13.246180783476927, 0.7638592389992765,
+         -10.042768461593834, -16.557725979346156, -0.22466448205861078],
+        "5ca44ff5c965b89ad47d3d0e4a0234ea362cc0963edb0097b1b916c96ebb2518"),
+    "toy_predictive": (
+        [-1.4489624407811132, -0.9157395745804193, -0.28960844723857526,
+         0.4038560246315538, 0.88333626427644, 3.0000556678046686,
+         3.000021247280589, 3.000011657636788, 3.000028422509146,
+         3.000103899685349, -1.4489404101225536, -0.9157163055038184,
+         -0.28957628427643745, 0.4043040967377264, 0.8842057478728229,
+         3.000055560920215, 3.0000212460817566, 3.0000116559903027,
+         3.00002845362194, 3.000104031797317],
+        "a86b895d09f80eaa3dc10bf2dd2f4d6cb92cbd251cf4e90d40b27d518a2e5928"),
+    "vb_energy_exact": (
+        [38.971627882853355, 38.77504407267405],
+        "99210f5e644136b7679a47ea48aec2e5ae8f04a5a8a0988f6d9ad7a51693105e"),
 }
 
 
@@ -199,5 +287,6 @@ def test_seeded_output_is_pinned(name):
 if __name__ == "__main__":
     for name in sorted(CASES):
         got = _outputs(name)
-        print('    "%s": (%r,\n        "%s"),' % (
-            name, got.tolist(), hashlib.sha256(got.tobytes()).hexdigest()))
+        print('    "%s": (%s,\n        "%s"),' % (
+            name, repr(got.tolist()).replace("inf", "INF"),
+            hashlib.sha256(got.tobytes()).hexdigest()))
