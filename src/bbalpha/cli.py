@@ -192,7 +192,7 @@ def _run_split(args):
     tconf.seed = int(np.random.default_rng([seed, split_idx, 7]).integers(2 ** 31))
     q, hypers, trace = train(model, tr, default_prior(model.theta_dim), tconf)
 
-    log_sigma2 = hypers.get("log_sigma2", getattr(model, "log_sigma2", None))
+    log_sigma2 = hypers.get("log_sigma2")
     pred_seed = [seed, split_idx, 13]
     X, y = te.features, te.targets
     if te.task in ("probit", "classification"):

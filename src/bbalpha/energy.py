@@ -13,7 +13,7 @@ in place on arrays it allocates, and its closed-form gradient.
 `SlotLayout` is the one definition of the slot vector w that every
 evaluation takes its leaves from; its `mc_estimates` takes one site step for
 all the eps blocks of one (w, minibatch, alpha), and the public
-`bbalpha_energy_mc_blocks` and `bbalpha_energy_mc` build a layout from q.
+`bbalpha_energy_mc` builds a layout from q.
 The exact energy is one `exact_energy` node whose gradient is the
 moment-matching residual.  log E_q[(p/f)^alpha] is always
 logsumexp(alpha * delta_k) - log K with a max shift, never the log of a mean
@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (ConfigError, ImproperCavity, ImproperTilted,
                      NonFiniteIntermediate, ShapeMismatch)
-from .expfam import FactorizedGaussian, NaturalParams, nat_to_meanvar
+from .expfam import FactorizedGaussian, NaturalParams
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -49,18 +49,15 @@ class AlphaParam:
 
 @dataclass
 class EnergyEstimate:
-    """Energy value, gradient over trainable slots and sampling provenance."""
+    """Energy value and its gradient over the trainable slots."""
 
     value: float
     grad: np.ndarray
-    alpha: float
-    k: int
-    batch_ids: np.ndarray
 
 
 def _prior_mv(prior: NaturalParams, dim):
-    """The prior's mean and log variance, by nat_to_meanvar's formula; a
-    prior whose dim is not q's raises here, not as a broadcast error later."""
+    """The prior's mean -eta1 / (2 eta2) and log variance log(-1 / (2 eta2));
+    a prior whose dim is not q's raises here, not as a broadcast error later."""
     if prior.dim != dim:
         raise ShapeMismatch("prior dim %d vs %d" % (prior.dim, dim))
     var = -0.5 / prior.eta2
@@ -203,11 +200,19 @@ class SlotLayout:
         mu, log_var, h, pm, plv = self.unpack(self.leaves(w))
         hypers = {"log_sigma2": float(h)} if self.learn_noise else {}
         if self.learn_prior:
-            hypers["prior"] = NaturalParams(pm * np.exp(-plv), -0.5 * np.exp(-plv))
+            hypers["prior"] = FactorizedGaussian(pm, plv).to_nat()
         return FactorizedGaussian(mu, log_var), hypers
 
+    def _check_model(self, model):
+        if model.theta_dim != self.dim:
+            raise ShapeMismatch("q dim %d vs model theta_dim %d"
+                                % (self.dim, model.theta_dim))
+
     def mc_estimates(self, w, model, data, batch, alpha, eps_blocks):
-        """bbalpha_energy_mc_blocks at the slot vector w."""
+        """bbalpha_energy_mc at each (K, dim) block of `eps_blocks` in turn,
+        one value_and_grad call each; the minibatch and the site step are set
+        up once, the site from the very arrays every call takes as leaves."""
+        self._check_model(model)
         batch = np.asarray(batch, dtype=int)
         if batch.size == 0:
             raise ValueError("empty minibatch")
@@ -226,10 +231,11 @@ class SlotLayout:
             if np.shape(eps)[1:] != (self.dim,) or len(eps) == 0:
                 raise ShapeMismatch("eps %s vs (K >= 1, %d)" % (np.shape(eps), self.dim))
             value, grads = ad.value_and_grad(f, leaves)
-            yield EnergyEstimate(value, np.concatenate(grads), a or 0.0, len(eps), batch)
+            yield EnergyEstimate(value, np.concatenate(grads))
 
     def exact_estimate(self, w, model, data, alpha: AlphaParam):
         """bbalpha_energy_exact_grad at the slot vector w."""
+        self._check_model(model)
         X, y = _conjugate_xy(model, data)
 
         def f(*vs):
@@ -238,18 +244,7 @@ class SlotLayout:
                                alpha.alpha, alpha.n_data)
 
         value, grads = ad.value_and_grad(f, self.leaves(w))
-        return EnergyEstimate(value, np.concatenate(grads), alpha.alpha, 0, np.arange(data.n))
-
-
-def bbalpha_energy_mc_blocks(q: FactorizedGaussian, prior: NaturalParams,
-                             model, data, batch, alpha, eps_blocks, hyper=None,
-                             learn_noise=False, learn_prior=False):
-    """bbalpha_energy_mc at each (K, dim) block of `eps_blocks` in turn, one
-    value_and_grad call each; the minibatch, the slots and the site step are
-    set up once, the site from the very arrays every call takes as leaves."""
-    layout = SlotLayout(q.dim, prior, hyper, learn_noise, learn_prior)
-    yield from layout.mc_estimates(layout.pack(q), model, data, batch, alpha,
-                                   eps_blocks)
+        return EnergyEstimate(value, np.concatenate(grads))
 
 
 def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
@@ -258,13 +253,14 @@ def bbalpha_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
     """Reparameterized minibatch estimator of the tied-site alpha energy.
 
     `alpha` is an AlphaParam, or None for the variational free energy (the
-    alpha -> 0 limit, recorded as alpha 0.0).  `eps` is a (K, dim) matrix of
-    standard-normal draws supplied by the caller, which controls the refresh
-    schedule.  The gradient covers (mu, log_var) plus, when enabled,
-    log sigma2 and the prior slots.
+    alpha -> 0 limit).  `eps` is a (K, dim) matrix of standard-normal draws
+    supplied by the caller, which controls the refresh schedule.  The
+    gradient covers (mu, log_var) plus, when enabled, log sigma2 and the
+    prior slots.
     """
-    return next(bbalpha_energy_mc_blocks(q, prior, model, data, batch, alpha,
-                                         [eps], hyper, learn_noise, learn_prior))
+    layout = SlotLayout(q.dim, prior, hyper, learn_noise, learn_prior)
+    return next(layout.mc_estimates(layout.pack(q), model, data, batch, alpha,
+                                    [eps]))
 
 
 def vb_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
@@ -366,10 +362,10 @@ def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
     term is the diagonal-Gaussian KL from q to the prior.
     """
     X, y = _conjugate_xy(model, data)
-    mv_p = nat_to_meanvar(prior)
+    p_mu, p_log_var = _prior_mv(prior, q.dim)
     var_q = q.var
-    kl = 0.5 * np.sum(np.log(mv_p.var) - q.log_var
-                      + (var_q + (q.mu - mv_p.mu) ** 2) / mv_p.var - 1.0)
+    kl = 0.5 * np.sum(p_log_var - q.log_var
+                      + (var_q + (q.mu - p_mu) ** 2) * np.exp(-p_log_var) - 1.0)
     s2 = model.sigma2
     resid = y - X @ q.mu
     exp_ll = np.sum(-0.5 * np.log(2 * np.pi * s2)

@@ -38,22 +38,6 @@ class NaturalParams:
 
 
 @dataclass(frozen=True)
-class MeanVarParams:
-    """Mean parameterization (mu, var) of a diagonal Gaussian."""
-
-    mu: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _as_vec(self.mu))
-        object.__setattr__(self, "var", _as_vec(self.var))
-        if self.mu.shape != self.var.shape:
-            raise ShapeMismatch("mu %s vs var %s" % (self.mu.shape, self.var.shape))
-        if np.any(self.var <= 0.0):
-            raise NonNormalizable("var must be positive everywhere")
-
-
-@dataclass(frozen=True)
 class FactorizedGaussian:
     """Variational posterior q with unconstrained (mu, log_var) storage."""
 
@@ -77,14 +61,9 @@ class FactorizedGaussian:
         return self.mu.size
 
     def to_nat(self):
-        var = self.var
-        return NaturalParams(self.mu / var, -0.5 / var)
-
-
-def nat_to_meanvar(np_: NaturalParams) -> MeanVarParams:
-    """mu = -eta1/(2 eta2), var = -1/(2 eta2)."""
-    var = -0.5 / np_.eta2
-    return MeanVarParams(np_.eta1 * var, var)
+        """eta1 = mu / var, eta2 = -1 / (2 var), with 1 / var as one exp."""
+        iv = np.exp(-self.log_var)
+        return NaturalParams(self.mu * iv, -0.5 * iv)
 
 
 def sample_reparam(q: FactorizedGaussian, eps):

@@ -62,20 +62,18 @@ class Dataset:
                        self.task, self.x_mean, self.x_std, self.y_mean, self.y_std)
 
 
-def standardize_train_test(train: Dataset, test: Dataset, targets=None):
+def standardize_train_test(train: Dataset, test: Dataset):
     """Standardize features (and regression targets) using train statistics.
 
     Returns new (train, test) datasets carrying the statistics so predictions
     can be mapped back to the original scale.
     """
-    if targets is None:
-        targets = train.task == "regression"
     x_mean = train.features.mean(axis=0)
     x_std = train.features.std(axis=0)
     x_std = np.where(x_std < 1e-12, 1.0, x_std)
     y_mean, y_std = 0.0, 1.0
     tr_y, te_y = train.targets, test.targets
-    if targets:
+    if train.task == "regression":
         y_mean = float(np.mean(train.targets))
         y_std = float(np.std(train.targets))
         if y_std < 1e-12:

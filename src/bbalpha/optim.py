@@ -30,9 +30,6 @@ class TrainConfig:
     epochs: int = 200
     optimizer: str = "adam"       # "adam" or "sgd"
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     sgd_a: float = 0.1            # Robbins-Monro schedule gamma_t = a / (b + t)
     sgd_b: float = 10.0
     refresh_every: int = 1
@@ -246,8 +243,7 @@ def train(model, data, prior, cfg: TrainConfig):
                 # an overflow is reported by the check below, not as a warning
                 with np.errstate(over="ignore", invalid="ignore"):
                     if cfg.optimizer == "adam":
-                        w = adam_step(state, w, est.grad, cfg.learning_rate,
-                                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                        w = adam_step(state, w, est.grad, cfg.learning_rate)
                     else:
                         w = w - robbins_monro_lr(cfg, step + 1) * est.grad
                 if not np.isfinite(w).all():

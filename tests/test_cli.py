@@ -516,6 +516,8 @@ _NO_FILE = "No such file or directory"
     (["train", "{cfg}"], {"dataset": {"nn": 30}}, 2, "unknown dataset key(s): nn"),
     (["bias", "{cfg}", "--out", "{tmp}/b.csv"], {"bias": {"n_repeat": 3}}, 2,
      "unknown bias key(s): n_repeat"),
+    (["train", "{cfg}"], {"train": {"adam_beta1": 0.8}}, 2,
+     "unknown train key(s): adam_beta1"),
     (["train", "{cfg}"], {"model": {"kind": "linreg"},
                           "train": {"optimizer": "sgd", "sgd_a": 1.7e308,
                                     "sgd_b": 1.0}}, 3,
@@ -530,7 +532,7 @@ _NO_FILE = "No such file or directory"
         "bias_n_minibatches_0", "bias_ks_0", "bias_k_truth_0", "model_n_hidden1_str",
         "model_n_hidden_0", "model_n_classes_float", "model_sigma2_str",
         "model_log_sigma2_list", "experiment_key_typo", "dataset_key_typo",
-        "bias_key_typo", "sgd_update_overflows"])
+        "bias_key_typo", "adam_beta1_unknown", "sgd_update_overflows"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)

@@ -105,3 +105,24 @@ def test_energy_does_not_import_the_oracle():
     imports = set(_bbalpha_imports(SRC / "bbalpha" / "energy.py"))
     assert "bbalpha.expfam" in imports
     assert not {m for m in imports if m.startswith("bbalpha.oracle")}
+
+
+def _unused_imports(path):
+    """The names a module imports and never reads, anywhere in its tree."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # what a deletion leaves behind; __init__ imports to re-export
+    unused = {path.name: _unused_imports(path)
+              for path in sorted((SRC / "bbalpha").glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: u for name, u in unused.items() if u} == {}

@@ -84,17 +84,6 @@ def test_minibatch_estimator_is_unbiased_over_batches():
     assert np.isclose(np.mean(halves), full.value, rtol=1e-10)
 
 
-def test_energy_estimate_records_provenance():
-    data, model, q, prior = _conjugate_problem(9)
-    eps = np.random.default_rng(0).standard_normal((50, q.dim))
-    est = en.bbalpha_energy_mc(q, prior, model, data, np.array([1, 3]),
-                               AlphaParam(0.5, data.n), eps)
-    assert est.k == 50
-    assert est.alpha == 0.5
-    assert np.array_equal(est.batch_ids, [1, 3])
-    assert est.grad.shape == (2 * q.dim,)
-
-
 def test_improper_cavity_raises():
     data, model, q, prior = _conjugate_problem(10)
     # a huge positive alpha removes far more precision than q carries

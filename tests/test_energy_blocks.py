@@ -1,6 +1,6 @@
 """The MC energy over many eps blocks at one (q, minibatch, alpha).
 
-`bbalpha_energy_mc_blocks` takes the eps-free site step once for all its
+`SlotLayout.mc_estimates` takes the eps-free site step once for all its
 blocks.  Each block's value and gradient are byte-identical to one
 evaluation whose `_mc_expr` derives the site from its own leaves, each block
 costs one `value_and_grad` call, and nothing the caller handed in changes.
@@ -95,18 +95,18 @@ def test_blocks_match_one_evaluation_per_block(monkeypatch, kind, a,
     given = [q.mu, q.log_var, prior.eta1, prior.eta2, *blocks]
     before = [x.tobytes() for x in given]
 
+    layout = en.SlotLayout(q.dim, prior, hyper, learn_noise, learn_prior)
     calls = _spy_on_evaluations(monkeypatch)
     got = []
-    for est in en.bbalpha_energy_mc_blocks(*args, iter(blocks), **kw):
+    for est in layout.mc_estimates(layout.pack(q), model, data, batch, alpha,
+                                   iter(blocks)):
         got.append(est)
         assert len(calls) == len(got)       # one evaluation per block
     assert len(got) == len(blocks)
-    for est, one, (value, grad), eps in zip(got, single, want, blocks):
+    for est, one, (value, grad) in zip(got, single, want):
         for e in (est, one):
             assert np.float64(e.value).tobytes() == np.float64(value).tobytes()
             assert e.grad.tobytes() == grad.tobytes()
-        assert (est.k, est.alpha) == (len(eps), 0.0 if a is None else a)
-        assert np.array_equal(est.batch_ids, batch)
     # every call took the same leaves, the caller's values, and nothing
     # handed in changed
     assert all(c == calls[0] for c in calls)
@@ -116,9 +116,10 @@ def test_blocks_match_one_evaluation_per_block(monkeypatch, kind, a,
 
 def test_improper_cavity_raises_at_the_first_block(monkeypatch):
     model, data, q, prior, _, blocks = _problem("linreg")
+    layout = en.SlotLayout(q.dim, prior)
     calls = _spy_on_evaluations(monkeypatch)
-    ests = en.bbalpha_energy_mc_blocks(q, prior, model, data, np.arange(8),
-                                       AlphaParam(1e4, data.n), blocks)
+    ests = layout.mc_estimates(layout.pack(q), model, data, np.arange(8),
+                               AlphaParam(1e4, data.n), blocks)
     with pytest.raises(ImproperCavity):
         next(ests)
     # the first block's evaluation raised before its energy node; no later
@@ -139,8 +140,9 @@ def test_misshaped_eps_raises_shape_mismatch(shape):
         en.bbalpha_energy_mc(q, prior, model, data, np.arange(8), alpha,
                              np.zeros(shape))
     # a block iterator raises at the misshaped block, after the good ones
-    ests = en.bbalpha_energy_mc_blocks(q, prior, model, data, np.arange(8),
-                                       None, [np.zeros((3, 2)), np.zeros(shape)])
-    assert next(ests).k == 3
+    layout = en.SlotLayout(q.dim, prior)
+    ests = layout.mc_estimates(layout.pack(q), model, data, np.arange(8), None,
+                               [np.zeros((3, 2)), np.zeros(shape)])
+    assert next(ests).grad.shape == (4,)
     with pytest.raises(ShapeMismatch):
         next(ests)

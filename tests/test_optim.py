@@ -12,6 +12,7 @@ from bbalpha import energy as en
 from bbalpha import expfam
 from bbalpha import likelihoods as lk
 from bbalpha import optim
+from bbalpha.diagnostics import gradient_bias_study
 from bbalpha.energy import AlphaParam, bbalpha_energy_exact
 from bbalpha.errors import (DivergenceDetected, ImproperCavity,
                             NonFiniteIntermediate, ShapeMismatch)
@@ -378,8 +379,9 @@ def test_train_sets_the_slot_layout_up_once(monkeypatch, mode):
         monkeypatch.setattr(cls, "__post_init__",
                             count(cls.__name__, cls.__post_init__))
     train(model, data, prior, cfg)
-    # init_q's q and the returned q, and the returned prior
-    assert counts == {"_prior_mv": 1, "FactorizedGaussian": 2,
+    # init_q's q and the returned q, and the returned prior, which the
+    # prior slots' FactorizedGaussian converts
+    assert counts == {"_prior_mv": 1, "FactorizedGaussian": 3,
                       "NaturalParams": 1}
 
 
@@ -395,3 +397,23 @@ def test_prior_of_another_dim_is_a_shape_mismatch():
     with pytest.raises(ShapeMismatch, match="prior dim 3 vs 2"):
         en.bbalpha_energy_exact(q, default_prior(3), model, data,
                                 AlphaParam(0.5, data.n))
+    with pytest.raises(ShapeMismatch, match="prior dim 3 vs 2"):
+        en.vb_energy_exact(q, default_prior(3), model, data)
+
+
+def test_q_of_another_dim_than_the_model_is_a_shape_mismatch():
+    # checked once by the slot layout, before the model reshapes theta
+    data, model = _wide_linreg(2)
+    mlp = lk.MLPRegression(2, 3)
+    q = init_q(model, TrainConfig())
+    with pytest.raises(ShapeMismatch, match="q dim 2 vs model theta_dim 13"):
+        en.bbalpha_energy_mc(q, default_prior(2), mlp, data, np.arange(4),
+                             AlphaParam(0.5, data.n), np.zeros((5, 2)))
+    wide = init_q(lk.LinearRegression(3, 1.0), TrainConfig())
+    with pytest.raises(ShapeMismatch, match="q dim 3 vs model theta_dim 2"):
+        en.bbalpha_energy_exact_grad(wide, default_prior(3), model, data,
+                                     AlphaParam(0.5, data.n))
+    with pytest.raises(ShapeMismatch, match="q dim 2 vs model theta_dim 13"):
+        gradient_bias_study(mlp, data, q, default_prior(2), alphas=[0.5],
+                            ks=[1], n_minibatches=1, n_repeats=1, k_truth=2,
+                            batch_size=4)

@@ -253,9 +253,9 @@ PINNED = {
          80.07564415736599, 75.79693750947077, 74.44109252146451],
         "09a0c3d121aee84e120135ffebb0bf4963e57440b76bc11b05e60feeca06004a"),
     "to_nat": (
-        [18.0769832308689, -13.246180783476927, 0.7638592389992765,
+        [18.0769832308689, -13.246180783476925, 0.7638592389992767,
          -10.042768461593834, -16.557725979346156, -0.22466448205861078],
-        "5ca44ff5c965b89ad47d3d0e4a0234ea362cc0963edb0097b1b916c96ebb2518"),
+        "bbdb558700ab1b14b1a3637dc1967fe7ddd226c8a1de564b6f60b4606c603856"),
     "toy_predictive": (
         [-1.4489624407811132, -0.9157395745804193, -0.28960844723857526,
          0.4038560246315538, 0.88333626427644, 3.0000556678046686,
