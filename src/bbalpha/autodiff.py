@@ -546,59 +546,3 @@ def _evaluate(f, at):
     grads = [l.grad + 0.0 if l.grad is not None else np.zeros_like(l.value)
              for l in leaves]
     return float(out.value), grads
-
-
-class GradCheckReport:
-    """Per-coordinate comparison of reverse-mode vs central differences."""
-
-    def __init__(self, max_rel_err, worst_slot, worst_index, passed, errors):
-        self.max_rel_err = max_rel_err
-        self.worst_slot = worst_slot
-        self.worst_index = worst_index
-        self.passed = passed
-        self.errors = errors
-
-    def __repr__(self):
-        return ("GradCheckReport(max_rel_err=%.3e, worst=slot %d idx %s, passed=%s)"
-                % (self.max_rel_err, self.worst_slot, self.worst_index, self.passed))
-
-
-def check_gradient(f, at, step=1e-4, tol=1e-5, abs_floor=1e-8):
-    """Compare reverse-mode gradients against central finite differences.
-
-    Coordinates where both gradients are below `abs_floor` in magnitude are
-    compared absolutely; everything else relatively at threshold `tol`.
-    """
-    at = [np.asarray(a, dtype=float) for a in at]
-    _, grads = value_and_grad(f, at)
-
-    def eval_at(slots):
-        tape = Tape()
-        out = float(_val(f(*[Var(s, tape) for s in slots])))
-        # as in value_and_grad: freed by reference counting, not the GC
-        tape.nodes.clear()
-        return out
-
-    max_rel = 0.0
-    worst = (0, None)
-    errors = []
-    for si, a in enumerate(at):
-        fd = np.zeros_like(a)
-        it = np.nditer(a, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            hi = [x.copy() for x in at]
-            lo = [x.copy() for x in at]
-            hi[si][idx] += step
-            lo[si][idx] -= step
-            fd[idx] = (eval_at(hi) - eval_at(lo)) / (2 * step)
-            it.iternext()
-        g = grads[si]
-        denom = np.maximum(np.abs(g), np.abs(fd))
-        small = denom < abs_floor
-        rel = np.where(small, np.abs(g - fd), np.abs(g - fd) / np.where(small, 1.0, denom))
-        errors.append(rel)
-        if rel.size and rel.max() > max_rel:
-            max_rel = float(rel.max())
-            worst = (si, np.unravel_index(np.argmax(rel), rel.shape))
-    return GradCheckReport(max_rel, worst[0], worst[1], max_rel <= tol, errors)

@@ -208,6 +208,16 @@ class SlotLayout:
             raise ShapeMismatch("q dim %d vs model theta_dim %d"
                                 % (self.dim, model.theta_dim))
 
+    def conjugate(self, model, data):
+        """(X, y, p_mu, p_log_var) for the conjugate closed forms, their one
+        entry: another model kind or a q of another dim raises here, as a
+        prior of another dim does when the layout is built."""
+        if model.kind != "linreg":
+            raise ConfigError("exact energy requires a conjugate linreg model")
+        self._check_model(model)
+        return (data.features, np.asarray(data.targets, float), self.p_mu,
+                self.p_log_var)
+
     def mc_estimates(self, w, model, data, batch, alpha, eps_blocks):
         """bbalpha_energy_mc at each (K, dim) block of `eps_blocks` in turn,
         one value_and_grad call each; the minibatch and the site step are set
@@ -235,8 +245,7 @@ class SlotLayout:
 
     def exact_estimate(self, w, model, data, alpha: AlphaParam):
         """bbalpha_energy_exact_grad at the slot vector w."""
-        self._check_model(model)
-        X, y = _conjugate_xy(model, data)
+        X, y, _, _ = self.conjugate(model, data)
 
         def f(*vs):
             mu, log_var, _, pm, plv = self.unpack(vs)
@@ -273,12 +282,6 @@ def vb_energy_mc(q: FactorizedGaussian, prior: NaturalParams, model, data,
 
 # ---------------------------------------------------------------------------
 # closed forms for conjugate linear regression
-
-def _conjugate_xy(model, data):
-    if model.kind != "linreg":
-        raise ConfigError("exact energy requires a conjugate linreg model")
-    return data.features, np.asarray(data.targets, float)
-
 
 def _exact_closed_form(m, lv, pm, plv, X, y, sigma2, alpha, n_data):
     """Exact energy, its gradient over (mu, log_var, p_mu, p_log_var) and
@@ -329,10 +332,12 @@ def _exact_closed_form(m, lv, pm, plv, X, y, sigma2, alpha, n_data):
 def _exact_expr(mu, log_var, p_mu, p_log_var, X, y, sigma2, alpha, n_data):
     """The closed-form energy of conjugate linear regression, one node."""
     slots = (mu, log_var, p_mu, p_log_var)
-    value, grads, _ = _exact_closed_form(*map(ad._val, slots), X, y, sigma2,
-                                         alpha, n_data)
+    # an overflow is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grads, _ = _exact_closed_form(*map(ad._val, slots), X, y,
+                                             sigma2, alpha, n_data)
     parents = [(v, gr) for v, gr in zip(slots, grads) if isinstance(v, ad.Var)]
-    if not all(np.isfinite(gr).all() for _, gr in parents):
+    if not (np.isfinite(value) and all(np.isfinite(gr).all() for _, gr in parents)):
         raise NonFiniteIntermediate("exact_energy")
     return ad.node(value, "exact_energy",
                    *[(v, lambda g, gr=gr: g * gr) for v, gr in parents])
@@ -341,8 +346,7 @@ def _exact_expr(mu, log_var, p_mu, p_log_var, X, y, sigma2, alpha, n_data):
 def bbalpha_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
                          data, alpha: AlphaParam) -> float:
     """Exact tied-site energy; conjugate (Gaussian-likelihood) models only."""
-    X, y = _conjugate_xy(model, data)
-    p_mu, p_log_var = _prior_mv(prior, q.dim)
+    X, y, p_mu, p_log_var = SlotLayout(q.dim, prior).conjugate(model, data)
     return float(_exact_expr(q.mu, q.log_var, p_mu, p_log_var, X, y,
                              model.sigma2, alpha.alpha, alpha.n_data))
 
@@ -361,8 +365,7 @@ def vb_energy_exact(q: FactorizedGaussian, prior: NaturalParams, model,
     E_q[log p(y|theta,x)] is analytic for the Gaussian likelihood; the KL
     term is the diagonal-Gaussian KL from q to the prior.
     """
-    X, y = _conjugate_xy(model, data)
-    p_mu, p_log_var = _prior_mv(prior, q.dim)
+    X, y, p_mu, p_log_var = SlotLayout(q.dim, prior).conjugate(model, data)
     var_q = q.var
     kl = 0.5 * np.sum(p_log_var - q.log_var
                       + (var_q + (q.mu - p_mu) ** 2) * np.exp(-p_log_var) - 1.0)
@@ -383,9 +386,9 @@ def lower_bound_certificate(q, prior, model, data, alpha: AlphaParam) -> float:
         raise ValueError("certificate only holds for alpha <= N")
     e = bbalpha_energy_exact(q, prior, model, data, alpha)
     N = alpha.n_data
-    p_mu, p_log_var = _prior_mv(prior, q.dim)
-    g = _exact_expr(p_mu, p_log_var, p_mu, p_log_var, data.features,
-                    np.asarray(data.targets, float), model.sigma2, float(N), N)
+    X, y, p_mu, p_log_var = SlotLayout(q.dim, prior).conjugate(model, data)
+    g = _exact_expr(p_mu, p_log_var, p_mu, p_log_var, X, y, model.sigma2,
+                    float(N), N)
     return e - float(g)
 
 
@@ -396,8 +399,7 @@ def stationarity_residual(q, prior, model, data, alpha: AlphaParam) -> float:
     (conjugate model only): the exact energy's gradient with respect to
     lambda_q without its factor N/alpha - 1.
     """
-    X, y = _conjugate_xy(model, data)
-    p_mu, p_log_var = _prior_mv(prior, q.dim)
+    X, y, p_mu, p_log_var = SlotLayout(q.dim, prior).conjugate(model, data)
     _, _, (first, second) = _exact_closed_form(
         q.mu, q.log_var, p_mu, p_log_var, X, y, model.sigma2, alpha.alpha,
         alpha.n_data)

@@ -60,6 +60,9 @@ class TrainConfig:
             raise ConfigError("batch_size exceeds dataset size")
         if self.optimizer == "sgd" and (self.sgd_a <= 0 or self.sgd_b <= 0):
             raise ConfigError("SGD schedule requires a, b > 0")
+        if not 0.0 <= self.init_std < np.inf:       # NaN fails too
+            raise ConfigError("init_std must be finite and >= 0, got %r"
+                              % self.init_std)
 
 
 @dataclass
@@ -92,6 +95,17 @@ def adam_step(state: AdamState, params, grad, lr, beta1=0.9, beta2=0.999,
     step = np.divide(state.m, 1 - beta1 ** state.t)
     step *= lr
     return np.subtract(params, np.divide(step, tmp, out=step), out=step)
+
+
+def _norm(g):
+    """The 2-norm of g, with g scaled by its largest magnitude only when the
+    squares overflow: finite for a finite g unless beyond the float range."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(g)
+        if not np.isfinite(norm):
+            top = np.abs(g).max()
+            norm = top * np.linalg.norm(g / top)
+    return float(norm)
 
 
 def robbins_monro_lr(cfg: TrainConfig, t):
@@ -254,7 +268,7 @@ def train(model, data, prior, cfg: TrainConfig):
                 step += 1
             mean_e = float(np.mean(epoch_energy))
             trace.energy.append(mean_e)
-            trace.grad_norm.append(float(np.linalg.norm(est.grad)))
+            trace.grad_norm.append(_norm(est.grad))
             trace.wall_time.append(time.perf_counter() - t0)
             if not np.isfinite(mean_e):
                 raise DivergenceDetected("non-finite energy", epoch=epoch)

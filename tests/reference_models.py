@@ -68,7 +68,7 @@ def tape_forward(model, Theta, X):
     became one `mlp` node: per layer, take and reshape W and b out of
     Theta, then bmm, add and (but for the output layer) relu."""
     X = np.atleast_2d(np.asarray(X, float))
-    K = ad._val(Theta).shape[0]
+    K = Theta.shape[0]
     dims = mlp_layer_dims(model)
     A, off = X.T, 0
     for i, (n_out, n_in) in enumerate(dims):

@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 from bbalpha import autodiff as ad
 from bbalpha import energy as en
 from bbalpha import likelihoods as lk
@@ -237,7 +238,7 @@ def test_criterion_gradient_correctness():
 
     def check(f, slots):
         nonlocal ok, worst
-        rep = ad.check_gradient(f, slots, tol=1e-5)
+        rep = check_gradient(f, slots, tol=1e-5)
         ok &= rep.passed
         worst = max(worst, rep.max_rel_err)
 

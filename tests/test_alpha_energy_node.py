@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 import reference_energy
 from bbalpha import autodiff as ad
 from bbalpha import energy as en
@@ -101,7 +102,7 @@ def test_fused_energy_gradient_against_finite_differences(alpha, kind,
                                                           learn_prior):
     slots, fn = _problem(kind, learn_prior, seed=KINDS.index(kind))
     # a small step keeps the MLP's rectifier kinks out of the stencil
-    rep = ad.check_gradient(fn(en._mc_expr, alpha), slots, step=1e-6)
+    rep = check_gradient(fn(en._mc_expr, alpha), slots, step=1e-6)
     assert rep.passed, rep
 
 
@@ -248,8 +249,8 @@ def test_check_gradient_probes_are_freed_without_the_cyclic_gc():
 
     gc.disable()
     try:
-        rep = ad.check_gradient(f, [rng.normal(size=dim), np.full(dim, -1.0)],
-                                step=1e-6)
+        rep = check_gradient(f, [rng.normal(size=dim), np.full(dim, -1.0)],
+                             step=1e-6)
         assert rep.passed, rep
         # the gradient evaluation and two probes per coordinate
         assert len(model.refs) == 2 * (1 + 2 * 2 * dim)

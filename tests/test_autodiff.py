@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gradcheck import check_gradient
 from bbalpha import autodiff as ad
 from bbalpha.errors import NonFiniteIntermediate
 
@@ -22,7 +23,7 @@ def test_arithmetic_gradients():
     def f(a, b):
         return ad.asum(a * b + a / (b + 3.0) - 2.0 * a * a)
 
-    rep = ad.check_gradient(f, [rng.normal(size=5), rng.normal(size=5)])
+    rep = check_gradient(f, [rng.normal(size=5), rng.normal(size=5)])
     assert rep.passed, rep
 
 
@@ -41,7 +42,7 @@ def test_unary_gradients():
     def f(a):
         return ad.asum(ad.log(ad.exp(a) + 1.0) + ad.log(a * a + 1.0))
 
-    rep = ad.check_gradient(f, [rng.normal(size=7)])
+    rep = check_gradient(f, [rng.normal(size=7)])
     assert rep.passed, rep
 
 
@@ -68,7 +69,7 @@ def test_logsumexp_axis_gradient():
     def f(a):
         return ad.asum(ad.logsumexp(a, axis=0)) + ad.asum(ad.logsumexp(a, axis=1))
 
-    rep = ad.check_gradient(f, [rng.normal(size=(4, 3))])
+    rep = check_gradient(f, [rng.normal(size=(4, 3))])
     assert rep.passed, rep
 
 
@@ -101,8 +102,8 @@ def test_log_norm_cdf_adjoint_right_tail_is_zero():
 
 def test_log_norm_cdf_gradient():
     rng = np.random.default_rng(3)
-    rep = ad.check_gradient(lambda a: ad.asum(ad.log_norm_cdf(a)),
-                            [rng.normal(size=6) * 2.0])
+    rep = check_gradient(lambda a: ad.asum(ad.log_norm_cdf(a)),
+                         [rng.normal(size=6) * 2.0])
     assert rep.passed, rep
 
 
@@ -114,7 +115,7 @@ def test_dot_gradients_all_rank_combos(sa, sb):
     def f(a, b):
         return ad.asum(ad.dot(a, b))
 
-    rep = ad.check_gradient(f, [rng.normal(size=sa), rng.normal(size=sb)])
+    rep = check_gradient(f, [rng.normal(size=sa), rng.normal(size=sb)])
     assert rep.passed, rep
 
 
@@ -124,8 +125,8 @@ def test_bmm_gradient_with_broadcast():
     def f(a, b):
         return ad.asum(ad.bmm(a, b))
 
-    rep = ad.check_gradient(f, [rng.normal(size=(3, 2, 4)),
-                                rng.normal(size=(4, 5))])
+    rep = check_gradient(f, [rng.normal(size=(3, 2, 4)),
+                             rng.normal(size=(4, 5))])
     assert rep.passed, rep
 
 
@@ -142,7 +143,7 @@ def test_reshape_gradient():
         m = ad.reshape(a, (2, 3))
         return ad.asum(ad.asum(m * m, axis=0) * b)
 
-    rep = ad.check_gradient(f, [rng.normal(size=6), rng.normal(size=3)])
+    rep = check_gradient(f, [rng.normal(size=6), rng.normal(size=3)])
     assert rep.passed, rep
 
 
@@ -168,7 +169,7 @@ def test_nonfinite_intermediate_raises_with_op_name():
 
 
 def test_check_gradient_report_fields():
-    rep = ad.check_gradient(lambda a: ad.asum(a * a), [np.array([1.0, -2.0])])
+    rep = check_gradient(lambda a: ad.asum(a * a), [np.array([1.0, -2.0])])
     assert rep.passed
     assert rep.max_rel_err < 1e-5
     assert rep.worst_slot == 0
@@ -182,8 +183,18 @@ def test_check_gradient_catches_wrong_gradient():
     def f(a):
         return ad.asum(a * ad._val(a))  # treats one factor as a constant
 
-    rep = ad.check_gradient(f, [np.array([1.0, 2.0])])
+    rep = check_gradient(f, [np.array([1.0, 2.0])])
     assert not rep.passed
+
+
+@pytest.mark.parametrize("op, x", [
+    (ad.log, 1e-5),             # the lower probe, at -9e-5, is NaN
+    (ad.exp, 709.78271),        # the upper probe overflows to inf
+], ids=["nan", "inf"])
+def test_check_gradient_fails_on_a_nonfinite_probe(op, x):
+    rep = check_gradient(lambda a: ad.asum(op(a)), [np.array([x])])
+    assert not rep.passed
+    assert rep.max_rel_err == np.inf and rep.worst_index == (0,)
 
 
 def test_repeated_use_of_node_accumulates():
@@ -191,7 +202,7 @@ def test_repeated_use_of_node_accumulates():
         h = a * 2.0
         return ad.asum(h * h + h)
 
-    rep = ad.check_gradient(f, [np.array([0.3, -1.2])])
+    rep = check_gradient(f, [np.array([0.3, -1.2])])
     assert rep.passed, rep
 
 
@@ -202,7 +213,7 @@ def test_take_slice_gradient():
         return (ad.asum(a[:, 1:4] * a[:, 1:4]) + ad.asum(a[2] * 3.0)
                 + ad.asum(a[1:, 0]))
 
-    rep = ad.check_gradient(f, [rng.normal(size=(4, 5))])
+    rep = check_gradient(f, [rng.normal(size=(4, 5))])
     assert rep.passed, rep
 
 
@@ -214,7 +225,7 @@ def test_take_fancy_index_with_repeats_gradient():
         picked = a[:, rows, cols]
         return ad.asum(picked * picked)
 
-    rep = ad.check_gradient(f, [rng.normal(size=(2, 3, 4))])
+    rep = check_gradient(f, [rng.normal(size=(2, 3, 4))])
     assert rep.passed, rep
 
 

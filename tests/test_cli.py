@@ -522,6 +522,12 @@ _NO_FILE = "No such file or directory"
                           "train": {"optimizer": "sgd", "sgd_a": 1.7e308,
                                     "sgd_b": 1.0}}, 3,
      "divergence: non-finite parameters after the update at epoch 0, step 0"),
+    (["train", "{cfg}"], {"train": {"init_std": -1}}, 2,
+     "config error: init_std must be finite and >= 0, got -1.0"),
+    # the closed form overflows; its warnings must not print before the line
+    (["train", "{cfg}"], {"model": {"kind": "linreg", "sigma2": 1e-300},
+                          "train": {"energy_mode": "exact"}}, 3,
+     "divergence: op 'exact_energy' produced a non-finite value at epoch 0, step 0"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -532,7 +538,8 @@ _NO_FILE = "No such file or directory"
         "bias_n_minibatches_0", "bias_ks_0", "bias_k_truth_0", "model_n_hidden1_str",
         "model_n_hidden_0", "model_n_classes_float", "model_sigma2_str",
         "model_log_sigma2_list", "experiment_key_typo", "dataset_key_typo",
-        "bias_key_typo", "adam_beta1_unknown", "sgd_update_overflows"])
+        "bias_key_typo", "adam_beta1_unknown", "sgd_update_overflows",
+        "init_std_negative", "exact_closed_form_overflows"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)

@@ -5,6 +5,7 @@ input and the finiteness check."""
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 import reference_models as ref
 from bbalpha import autodiff as ad
 from bbalpha import energy as en
@@ -95,7 +96,7 @@ def test_node_gradient_against_finite_differences(kind):
         return ad.asum(lk.mlp(T, data.features, model.layer_dims) * w)
 
     # a small step keeps the rectifier kinks out of the stencil
-    rep = ad.check_gradient(f, [Theta], step=1e-6)
+    rep = check_gradient(f, [Theta], step=1e-6)
     assert rep.passed, rep
 
 

@@ -112,6 +112,10 @@ def test_config_validation():
         TrainConfig(epochs=0).validate(10)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="sgd", sgd_a=0.0).validate(10)
+    for std in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="init_std must be finite and >= 0"):
+            TrainConfig(init_std=std).validate(100)
+    TrainConfig(init_std=0.0).validate(100)
 
 
 def _linreg_problem(seed=0, n=16, d=2):
@@ -417,3 +421,37 @@ def test_q_of_another_dim_than_the_model_is_a_shape_mismatch():
         gradient_bias_study(mlp, data, q, default_prior(2), alphas=[0.5],
                             ks=[1], n_minibatches=1, n_repeats=1, k_truth=2,
                             batch_size=4)
+
+
+# the five closed forms; exact_grad reaches SlotLayout.exact_estimate
+_CLOSED_FORMS = {
+    "energy_exact": en.bbalpha_energy_exact,
+    "energy_exact_grad": en.bbalpha_energy_exact_grad,
+    "vb_energy_exact": lambda q, prior, model, data, alpha:
+        en.vb_energy_exact(q, prior, model, data),
+    "lower_bound_certificate": en.lower_bound_certificate,
+    "stationarity_residual": en.stationarity_residual,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_CLOSED_FORMS))
+def test_closed_forms_reject_a_q_of_another_dim_than_the_model(form):
+    # one entry check, before numpy's broadcast error inside the form
+    data, model = _wide_linreg(2)
+    wide = init_q(lk.LinearRegression(3, 1.0), TrainConfig())
+    with pytest.raises(ShapeMismatch, match="q dim 3 vs model theta_dim 2"):
+        _CLOSED_FORMS[form](wide, default_prior(3), model, data,
+                            AlphaParam(0.5, data.n))
+
+
+def test_grad_norm_is_finite_where_the_squares_overflow():
+    # a finite gradient of 1e200 scale, whose squares overflow
+    assert optim._norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    g = np.random.default_rng(0).normal(size=7)
+    assert optim._norm(g) == float(np.linalg.norm(g))      # bit for bit
+    # sigma2 = 1e-300 makes the VB gradient about 1e301 in norm
+    data, _ = _wide_linreg(2)
+    _, _, trace = train(lk.LinearRegression(2, 1e-300), data, default_prior(2),
+                        TrainConfig(alpha="vb", k_samples=5, batch_size=8,
+                                    epochs=2))
+    assert np.isfinite(trace.grad_norm).all() and min(trace.grad_norm) > 1e290
