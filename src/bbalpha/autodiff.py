@@ -82,8 +82,10 @@ def empty(shape, dtype=float):
         return np.empty(shape, dtype)
     key = (shape, dtype)            # as given: np.dtype() costs more
     free = _buffers.free.get(key)
+    if free is None:
+        free = _buffers.free[key] = []
     buf = free.pop() if free else _mapped(shape, np.dtype(dtype))
-    lent.append((key, buf))
+    lent.append((free, buf))        # the list it goes back to
     return buf
 
 
@@ -106,7 +108,9 @@ class Var:
     def __init__(self, value, tape, parents=(), op_name="leaf"):
         if type(value) is not np.ndarray or value.dtype.type is not np.float64:
             value = np.asarray(value, dtype=float)
-        if not (math.isfinite(value) if value.ndim == 0 else np.isfinite(value).all()):
+        # a count of the finite elements is cheaper than .all() on small arrays
+        if not (math.isfinite(value) if value.ndim == 0
+                else np.count_nonzero(np.isfinite(value)) == value.size):
             raise NonFiniteIntermediate(op_name)
         self.value = value
         self.tape = tape
@@ -206,7 +210,10 @@ def node(value, op_name, *parents):
     `parents` are (operand, vjp) pairs; operands that are not Vars get no
     gradient, and without any Var operand the plain value is returned.
     """
-    parents = tuple(p for p in parents if isinstance(p[0], Var))
+    for p in parents:               # most nodes have Vars only
+        if not isinstance(p[0], Var):
+            parents = tuple(p for p in parents if isinstance(p[0], Var))
+            break
     if not parents:
         return value
     return Var(value, parents[0][0].tape, parents, op_name)
@@ -491,23 +498,24 @@ def reshape(a, shape):
                 (a, lambda g: np.asarray(g).reshape(av.shape)))
 
 
+# the backward pass's unit seed, read-only: no VJP writes into its g
+_SEED = np.broadcast_to(1.0, ())
+
+
 def _backward(out):
     if out.value.shape != ():
         raise ValueError("backward pass requires a scalar output")
-    out.grad = np.ones(())
+    out.grad = _SEED
     for node in reversed(out.tape.nodes):
-        if node.grad is None:
+        grad = node.grad
+        if grad is None or not node.parents:
             continue
         for parent, vjp in node.parents:
-            g = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
-        if node.parents:
-            # consumed; only leaf gradients are read after the pass, and a
-            # tape awaiting the cyclic GC then holds its values alone
-            node.grad = None
+            g = vjp(grad)
+            parent.grad = g if parent.grad is None else parent.grad + g
+        # consumed; only leaf gradients are read after the pass, and a
+        # tape awaiting the cyclic GC then holds its values alone
+        node.grad = None
 
 
 def value_and_grad(f, at):
@@ -517,15 +525,14 @@ def value_and_grad(f, at):
     a reuse_buffers block, the arrays the nodes took from :func:`empty` go
     back to the pool when this returns or raises.
     """
-    free = _buffers.free
-    if free is None:
+    if _buffers.free is None:
         return _evaluate(f, at)
     outer, _buffers.lent = _buffers.lent, []
     try:
         return _evaluate(f, at)
     finally:
-        for key, buf in _buffers.lent:
-            free.setdefault(key, []).append(buf)
+        for free_list, buf in _buffers.lent:
+            free_list.append(buf)
         _buffers.lent = outer
 
 

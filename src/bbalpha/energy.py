@@ -21,6 +21,7 @@ of exponentiated alpha * delta.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -69,26 +70,36 @@ def _log_partition(mu, log_var, eta1):
     return 0.5 * (eta1 @ mu + log_var.sum() + mu.size * _LOG_2PI)
 
 
+@lru_cache(maxsize=16)
+def _per_k(K):
+    """(ones(K), read-only, and log K), made once per sample count K."""
+    ones = np.ones(K)
+    ones.flags.writeable = False
+    return ones, np.log(K)
+
+
 def _reparam(mu, log_var, eps, sd, ones):
     """theta = mu + sd * eps as one (K, dim) node; sd = exp(log_var / 2)."""
     theta = np.multiply(eps, sd, out=ad.empty(eps.shape))
     theta += ad._val(mu)
-    return ad.node(theta, "reparam", (mu, lambda g: ones @ g),
-                   (log_var, lambda g: ones @ np.multiply(
-                       g, eps, out=ad.empty(g.shape)) * sd * 0.5))
+    return ad.node(theta, "reparam", (mu, lambda g: ones.dot(g)),
+                   (log_var, lambda g: ones.dot(np.multiply(
+                       g, eps, out=ad.empty(g.shape))) * sd * 0.5))
 
 
 def _site(m, lv, pm, plv, n_data, alpha):
     """The eps-free part of the energy at one (q, prior, alpha): whether the
-    cavity is improper, the site's l1 and l2, logZ0 - logZq, sd, dm, iv0."""
+    cavity is improper, the site's l1 and l2, logZ0 - logZq, sd, dm, and
+    the rows (sd, sd^2) and (iv0, iv0 / 2) that scale the slot gradients."""
     ivq, iv0 = np.exp(-lv), np.exp(-plv)
     e1q, e10 = m * ivq, pm * iv0
     l1 = (e1q - e10) / n_data
     l2 = 0.5 * (iv0 - ivq) / n_data
     # -2 times the cavity eta2; the scaling is exact
     improper = alpha is not None and (ivq + 2.0 * alpha * l2 <= 0.0).any()
+    sd = np.exp(0.5 * lv)
     return (improper, l1, l2, _log_partition(pm, plv, e10) - _log_partition(m, lv, e1q),
-            np.exp(0.5 * lv), m - pm, iv0)
+            sd, m - pm, np.array([sd, sd * sd]), np.array([iv0, 0.5 * iv0]))
 
 
 def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
@@ -109,43 +120,49 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     alpha=None is the VB energy, the same node with w = 1/K.  An improper
     cavity raises ImproperCavity here, inside the evaluation.
     """
-    improper, l1, l2, value, sd, dm, iv0 = site
+    improper, l1, l2, value, sd, dm, sd_sd2, iv0_half = site
     if improper:
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
     th, ll = ad._val(theta), ad._val(loglik)
     K, B = ll.shape
     th2 = np.multiply(th, th, out=ad.empty(th.shape))
-    w = np.subtract(ll, (th @ l1 + th2 @ l2)[:, None], out=ad.empty(ll.shape))
+    w = np.subtract(ll, (th.dot(l1) + th2.dot(l2))[:, None], out=ad.empty(ll.shape))
     if alpha is None:
         value -= (n_data / B) * (w.sum() / K)
         c = np.full(K, n_data / K)
         w.fill(-(n_data / B) / K)                     # dE/dloglik
     else:                                             # max-shifted logsumexp
         w *= alpha
-        top = w.max(axis=0)
+        top = np.maximum.reduce(w, axis=0)
         w -= top
-        s = ones @ np.exp(w, out=w)                   # >= 1: exp(0) is in it
-        value -= n_data / (alpha * B) * ((np.log(s) + top).sum() - B * np.log(K))
+        s = ones.dot(np.exp(w, out=w))                # >= 1: exp(0) is in it
+        value -= n_data / (alpha * B) * (np.add.reduce(np.log(s) + top)
+                                          - B * _per_k(K)[1])
         r = (n_data / B) / s
-        c = w @ r
+        c = w.dot(r)
         w *= -r                                       # dE/dloglik
-    a = sd * (c @ eps) / n_data
-    b = sd * sd * (c @ np.multiply(eps, eps, out=th2)) / n_data
-    # slot gradients in one block, one check; a non-finite w shows in value
+    # slot gradients in one block, one check; a non-finite w shows in value.
+    # Rows 0 and 1 take a and b, then become dE/dmu and dE/dlog_var in place
     G = np.empty((4 if isinstance(p_mu, ad.Var) else 2, sd.size))
-    np.multiply(dm + a, iv0, out=G[0])
-    np.multiply(a * dm + b, 0.5 * iv0, out=G[1])
-    G[1] -= 0.5
+    rows, g_mu, g_lv = G[:2], G[0], G[1]
+    c.dot(eps, out=g_mu)
+    c.dot(np.multiply(eps, eps, out=th2), out=g_lv)
+    rows *= sd_sd2
+    rows /= n_data
+    g_lv += g_mu * dm
+    g_mu += dm
+    rows *= iv0_half
+    g_lv -= 0.5
     if len(G) == 4:                                   # learned prior slots
-        np.negative(G[:2], out=G[2:])
-        G[3] -= 0.5 * dm * G[0]
-    if not np.isfinite(G).all():
+        np.negative(rows, out=G[2:])
+        G[3] -= 0.5 * dm * g_mu
+    if np.count_nonzero(np.isfinite(G)) != G.size:
         raise NonFiniteIntermediate("alpha_energy")
     # the root's unit seed needs no copy of gr
     return ad.node(value, "alpha_energy",
-                   *[(v, lambda g, gr=gr: gr if g == 1.0 else g * gr) for v, gr
+                   *[(v, lambda g, gr=gr: gr if g is ad._SEED else g * gr) for v, gr
                      in zip((mu, log_var, loglik, p_mu, p_log_var),
-                            (G[0], G[1], w, *G[2:]))])
+                            (g_mu, g_lv, w, *G[2:]))])
 
 
 def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
@@ -154,7 +171,7 @@ def _mc_expr(mu, log_var, p_mu, p_log_var, model, X, y, n_data, alpha, eps,
     alpha=None gives the VB energy."""
     if site is None:                # the slots' values give one
         site = _site(*map(ad._val, (mu, log_var, p_mu, p_log_var)), n_data, alpha)
-    ones = np.ones(len(eps))        # sums over K rows as products: faster
+    ones = _per_k(len(eps))[0]      # sums over K rows as products: faster
     theta = _reparam(mu, log_var, eps, site[4], ones)    # site[4] is sd
     loglik = model.batch_log_lik(theta, X, y, hyper=hyper)
     return _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data,
@@ -238,8 +255,8 @@ class SlotLayout:
                             hyper=h, site=site)
 
         for eps in eps_blocks:
-            if np.shape(eps)[1:] != (self.dim,) or len(eps) == 0:
-                raise ShapeMismatch("eps %s vs (K >= 1, %d)" % (np.shape(eps), self.dim))
+            if eps.shape[1:] != (self.dim,) or len(eps) == 0:
+                raise ShapeMismatch("eps %s vs (K >= 1, %d)" % (eps.shape, self.dim))
             value, grads = ad.value_and_grad(f, leaves)
             yield EnergyEstimate(value, np.concatenate(grads))
 
@@ -397,12 +414,16 @@ def stationarity_residual(q, prior, model, data, alpha: AlphaParam) -> float:
 
     E_q[s(theta)] against the average of the closed-form tilted moments
     (conjugate model only): the exact energy's gradient with respect to
-    lambda_q without its factor N/alpha - 1.
+    lambda_q without its factor N/alpha - 1.  A non-finite residual raises
+    NonFiniteIntermediate naming the closed form, as the exact energy does.
     """
     X, y, p_mu, p_log_var = SlotLayout(q.dim, prior).conjugate(model, data)
-    _, _, (first, second) = _exact_closed_form(
-        q.mu, q.log_var, p_mu, p_log_var, X, y, model.sigma2, alpha.alpha,
-        alpha.n_data)
-    res1 = np.abs(q.mu - first)
-    res2 = np.abs(q.var + q.mu ** 2 - second)
-    return float(max(res1.max(), res2.max()))
+    # an overflow is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, (first, second) = _exact_closed_form(
+            q.mu, q.log_var, p_mu, p_log_var, X, y, model.sigma2, alpha.alpha,
+            alpha.n_data)
+        res = np.abs(np.concatenate([q.mu - first, q.var + q.mu ** 2 - second]))
+    if not np.isfinite(res).all():
+        raise NonFiniteIntermediate("exact_energy")
+    return float(res.max())

@@ -118,6 +118,7 @@ class LinearRegression:
             raise NonPositiveNoise("sigma2 = %g" % sigma2)
         self.theta_dim = n_features
         self.sigma2 = float(sigma2)
+        self._c0 = -0.5 * np.log(2 * np.pi * self.sigma2)
 
     def batch_forward(self, Theta, X):
         """Regression means theta^T x; (K, P) x (B, P) -> (K, B)."""
@@ -125,21 +126,21 @@ class LinearRegression:
 
     def batch_log_lik(self, Theta, X, y, hyper=None):
         """One `linreg` node, c0 - resid^2 / (2 sigma2) with resid =
-        y - Theta X^T; value and VJP -2 (-g / (2 sigma2)) resid X round
-        exactly as the op-by-op tape expression does."""
+        y - Theta X^T; value and VJP (g / sigma2) resid X round exactly as
+        the op-by-op tape expression's -2 (-g / (2 sigma2)) resid X does:
+        scaling by 2 is exact."""
         X = np.asarray(X, float)
         Tv = ad._val(Theta)
         resid = np.matmul(Tv, X.T, out=ad.empty(Tv.shape[:-1] + X.shape[:1]))
-        np.subtract(np.asarray(y, float)[None, :], resid, out=resid)
+        np.subtract(np.asarray(y, float), resid, out=resid)
         out = np.multiply(resid, resid, out=ad.empty(resid.shape))
         out /= 2 * self.sigma2
-        np.subtract(-0.5 * np.log(2 * np.pi * self.sigma2), out, out=out)
+        np.subtract(self._c0, out, out=out)
 
         def vjp(g):
-            t = np.divide(g, -2 * self.sigma2, out=ad.empty(resid.shape))
+            t = np.divide(g, self.sigma2, out=ad.empty(resid.shape))
             t *= resid
-            t *= -2.0
-            return t @ X
+            return t.dot(X)
 
         return ad.node(out, "linreg", (Theta, vjp))
 

@@ -196,7 +196,7 @@ def train(model, data, prior, cfg: TrainConfig):
     From _EPS_THREAD_MIN normals per block, one helper thread draws the next
     block while the current step is evaluated; the blocks and every output
     are the same as without it, and the thread is joined before train
-    returns or raises.
+    returns or raises.  No RuntimeWarning escapes the epoch loop.
     """
     import time
 
@@ -227,8 +227,10 @@ def train(model, data, prior, cfg: TrainConfig):
         estimate = lambda w, batch, eps: next(
             layout.mc_estimates(w, model, data, batch, alpha, (eps,)))
     threaded = n_refresh > 0 and cfg.k_samples * dim >= _EPS_THREAD_MIN
+    # a non-finite value is reported by the checks, which name the op or the
+    # step, not as a warning
     with (ThreadPoolExecutor(max_workers=1) if threaded
-          else nullcontext()) as pool:
+          else nullcontext()) as pool, np.errstate(all="ignore"):
         eps_blocks = _eps_stream(eps_rng, n_refresh, (cfg.k_samples, dim),
                                  pool)
         eps, step = None, 0
@@ -254,12 +256,10 @@ def train(model, data, prior, cfg: TrainConfig):
                     raise DivergenceDetected(
                         "non-finite energy or gradient at epoch %d, step %d"
                         % (epoch, step), epoch=epoch, step=step)
-                # an overflow is reported by the check below, not as a warning
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if cfg.optimizer == "adam":
-                        w = adam_step(state, w, est.grad, cfg.learning_rate)
-                    else:
-                        w = w - robbins_monro_lr(cfg, step + 1) * est.grad
+                if cfg.optimizer == "adam":
+                    w = adam_step(state, w, est.grad, cfg.learning_rate)
+                else:
+                    w = w - robbins_monro_lr(cfg, step + 1) * est.grad
                 if not np.isfinite(w).all():
                     raise DivergenceDetected(
                         "non-finite parameters after the update at epoch %d, "

@@ -444,6 +444,14 @@ def _table_config(tmp_path, sections):
     return _write_config(tmp_path / "cfg_table.yaml", cfg)
 
 
+def _toy_linreg(learning_rate):
+    """Sections of a linreg run on toy_cubic whose steps overflow."""
+    return {"dataset": {"kind": "toy_cubic", "n": 60},
+            "model": {"kind": "linreg", "sigma2": 0.25},
+            "train": {"alpha": -0.5, "k_samples": 10, "batch_size": 8,
+                      "learning_rate": learning_rate}}
+
+
 _MISSING = "{tmp}/absent/x.csv"
 _NO_FILE = "No such file or directory"
 
@@ -528,6 +536,12 @@ _NO_FILE = "No such file or directory"
     (["train", "{cfg}"], {"model": {"kind": "linreg", "sigma2": 1e-300},
                           "train": {"energy_mode": "exact"}}, 3,
      "divergence: op 'exact_energy' produced a non-finite value at epoch 0, step 0"),
+    # a step overflows in the site step's exp, then in the linreg node's
+    # multiply; no warning may print before the line that names the op
+    (["train", "{cfg}"], _toy_linreg(1e10), 3,
+     "divergence: op 'reparam' produced a non-finite value at epoch 0, step 1"),
+    (["train", "{cfg}"], _toy_linreg(1e3), 3,
+     "divergence: op 'linreg' produced a non-finite value at epoch 0, step 1"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -539,7 +553,8 @@ _NO_FILE = "No such file or directory"
         "model_n_hidden_0", "model_n_classes_float", "model_sigma2_str",
         "model_log_sigma2_list", "experiment_key_typo", "dataset_key_typo",
         "bias_key_typo", "adam_beta1_unknown", "sgd_update_overflows",
-        "init_std_negative", "exact_closed_form_overflows"])
+        "init_std_negative", "exact_closed_form_overflows", "site_exp_overflows",
+        "linreg_node_overflows"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)

@@ -121,8 +121,9 @@ def _unused_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # what a deletion leaves behind; __init__ imports to re-export
-    unused = {path.name: _unused_imports(path)
-              for path in sorted((SRC / "bbalpha").glob("*.py"))
-              if path.name != "__init__.py"}
+    # what a deletion leaves behind, in the package and in its tests;
+    # __init__ imports to re-export
+    paths = [*(SRC / "bbalpha").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    unused = {str(path.relative_to(ROOT)): _unused_imports(path)
+              for path in sorted(paths) if path.name != "__init__.py"}
     assert {name: u for name, u in unused.items() if u} == {}

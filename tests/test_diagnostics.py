@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from bbalpha import autodiff as ad
+from bbalpha import energy as en
 from bbalpha import likelihoods as lk
-from bbalpha.diagnostics import BiasReport, BiasRow, gradient_bias_study
+from bbalpha.diagnostics import BiasRow, gradient_bias_study
 from bbalpha.errors import ConfigError
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import default_prior
@@ -35,6 +37,30 @@ def _small_study(**kw):
 def test_study_rejects_empty_counts(kw):
     with pytest.raises(ConfigError, match="must be >= 1"):
         _small_study(**kw)
+
+
+def test_study_makes_one_evaluation_per_estimate_and_one_site_step_per_column(
+        monkeypatch):
+    # the benchmark's traced check counts value_and_grad calls: one per
+    # estimator evaluation, whatever the study shares between them
+    calls = {"value_and_grad": 0, "_site": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(module, name, spy)
+
+    counted(ad, "value_and_grad")
+    counted(en, "_site")
+    alphas, ks, n_minibatches, n_repeats = [0.5, 1.0], [1, 3, 5], 3, 7
+    _small_study(alphas=alphas, ks=ks, n_minibatches=n_minibatches,
+                 n_repeats=n_repeats, k_truth=100)
+    columns = n_minibatches * (len(alphas) + 1)
+    assert calls == {"value_and_grad": columns * (1 + len(ks) * n_repeats),
+                     "_site": columns}
 
 
 def test_report_has_all_cells():

@@ -114,6 +114,16 @@ def test_non_finite_energy_names_the_node():
     assert e.value.op_name == "exact_energy"
 
 
+def test_non_finite_stationarity_residual_names_the_closed_form():
+    # at sigma2 = 1e-300 the tilted moments overflow; no RuntimeWarning may
+    # escape either, which pytest would turn into an error
+    q, prior, _, data = _problem(0, 0.5)
+    model = lk.LinearRegression(q.dim, 1e-300)
+    with pytest.raises(NonFiniteIntermediate) as e:
+        en.stationarity_residual(q, prior, model, data, AlphaParam(0.5, data.n))
+    assert e.value.op_name == "exact_energy"
+
+
 @pytest.mark.parametrize("alpha, error", [(-0.5, ImproperTilted),
                                           (-3.0, ImproperTilted),
                                           (12.0, ImproperCavity),

@@ -13,7 +13,7 @@ from bbalpha import expfam
 from bbalpha import likelihoods as lk
 from bbalpha import optim
 from bbalpha.diagnostics import gradient_bias_study
-from bbalpha.energy import AlphaParam, bbalpha_energy_exact
+from bbalpha.energy import AlphaParam
 from bbalpha.errors import (DivergenceDetected, ImproperCavity,
                             NonFiniteIntermediate, ShapeMismatch)
 from bbalpha.optim import (AdamState, TrainConfig, adam_step, default_prior,

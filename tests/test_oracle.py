@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import special
 
 from bbalpha import oracle
 from bbalpha.errors import (ConfigError, DomainError, NoConvergence,
