@@ -17,6 +17,10 @@ from :func:`empty`, which lends them from a pool for the duration of one
 returns or raises, and the next evaluation writes into the same memory.  The
 value and the gradients the call returns are still fresh.  Outside such a
 call, :func:`empty` is ``np.empty``.
+
+A node's value is valid until its own VJP runs: the VJPs of its consumers,
+its only readers, run before it, so a VJP may write into its node's buffer.
+:func:`value_and_grad` reads the root's value before the backward pass.
 """
 
 import math
@@ -543,6 +547,7 @@ def _evaluate(f, at):
     if not isinstance(out, Var):
         # expression did not touch any slot; gradient is zero
         return float(np.asarray(out)), [np.zeros_like(l.value) for l in leaves]
+    value = float(out.value)        # a VJP may reuse its node's buffer
     _backward(out)
     # without its node list the finished tape is no reference cycle, so it
     # is freed as soon as the caller drops the output, not at the next GC
@@ -552,4 +557,4 @@ def _evaluate(f, at):
     # the +0.0 an accumulation starting from zeros would give
     grads = [l.grad + 0.0 if l.grad is not None else np.zeros_like(l.value)
              for l in leaves]
-    return float(out.value), grads
+    return value, grads

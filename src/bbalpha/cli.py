@@ -11,7 +11,6 @@ command group's `invoke` is the one place that exits with it.
 import dataclasses
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
@@ -237,6 +236,8 @@ def cmd_train(config_path, out_dir=None):
     t0 = time.perf_counter()
     jobs = [(i, cfg, seed) for i in range(n_splits)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_split, jobs))
     else:

@@ -72,19 +72,17 @@ def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
     columns = {a: AlphaParam(a, n) for a in alphas}
     columns["vb"] = None
 
-    # epsilon blocks shared across columns, per minibatch in the order they
-    # are used: the reference block, then n_repeats blocks per K
     sizes = [(1, k_truth)] + [(n_repeats, k) for k in ks]
-    eps = [[rng.standard_normal((r, k, model.theta_dim)) for r, k in sizes]
-           for _ in range(n_minibatches)]
-
     bias = {(a, k): [] for a in columns for k in ks}
     spread = {(a, k): [] for a in columns for k in ks}
     root_dim = np.sqrt(w.size)
-    for b, batch in enumerate(batches):
+    for batch in batches:
+        # epsilon blocks shared across columns, drawn when their minibatch
+        # comes: the reference block, then n_repeats blocks per K
+        eps = [rng.standard_normal((r, k, model.theta_dim)) for r, k in sizes]
         for a, alpha in columns.items():
             ests = layout.mc_estimates(w, model, data, batch, alpha,
-                                       chain(*eps[b]))
+                                       chain(*eps))
             g_ref = next(ests).grad
             for k in ks:
                 grads = np.array([e.grad for e in islice(ests, n_repeats)])

@@ -71,5 +71,7 @@ def sample_reparam(q: FactorizedGaussian, eps):
     eps = np.asarray(eps, dtype=float)
     if eps.shape[-1] != q.dim:
         raise ShapeMismatch("eps %s vs dim %d" % (eps.shape, q.dim))
-    return q.mu + np.exp(0.5 * q.log_var) * eps
+    theta = np.exp(0.5 * q.log_var) * eps
+    theta += q.mu
+    return theta
 

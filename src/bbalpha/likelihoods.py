@@ -137,8 +137,8 @@ class LinearRegression:
         out /= 2 * self.sigma2
         np.subtract(self._c0, out, out=out)
 
-        def vjp(g):
-            t = np.divide(g, self.sigma2, out=ad.empty(resid.shape))
+        def vjp(g):             # the consumers' VJPs, which read out, ran first
+            t = np.divide(g, self.sigma2, out=out)
             t *= resid
             return t.dot(X)
 

@@ -49,6 +49,18 @@ def test_a_probit_run_never_loads_scipy(tmp_path):
     assert result == {"splits": 1, "scipy": []}
 
 
+def test_importing_the_package_and_cli_loads_no_process_pool():
+    # the pool of `workers > 1` is imported when a run starts one
+    script = ("import sys, bbalpha, bbalpha.cli; print(sorted(m for m in"
+              " ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -84,6 +84,31 @@ def test_energy_gradient_matches_tape_reference(K, B, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.5, None])
+def test_energy_gradient_is_bit_identical_to_the_op_by_op_chain(alpha):
+    # the node's VJP writes its scratch into the node's own value buffer:
+    # the gradients still match the op-by-op log-likelihood byte for byte
+    model, slots, fn = _energy_problem(10000, 32)
+    tape_model = _TapeLinearRegression(model.theta_dim, model.sigma2)
+    value, grads = ad.value_and_grad(fn(en._mc_expr, model, alpha), slots)
+    want, want_grads = ad.value_and_grad(fn(en._mc_expr, tape_model, alpha),
+                                         slots)
+    assert value == want
+    for g, w in zip(grads, want_grads):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_a_root_viewing_the_node_value_returns_the_forward_value():
+    # K = B = 1: the root is a 0-d view of the buffer the VJP writes into
+    model, X, y, Theta = _problem(1, 1)
+    want = float(model.batch_log_lik(Theta, X, y)[0, 0])
+    value, (grad,) = ad.value_and_grad(
+        lambda T: ad.reshape(model.batch_log_lik(T, X, y), ()), [Theta])
+    assert value == want
+    resid = y - Theta @ X.T
+    np.testing.assert_allclose(grad, resid.dot(X) / model.sigma2, rtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.5, None])
 @pytest.mark.parametrize("B", BS)
 @pytest.mark.parametrize("K", KS)
 def test_energy_gradient_against_finite_differences(K, B, alpha):

@@ -1,4 +1,5 @@
-"""Allocation budget of one MC energy-plus-gradient evaluation.
+"""Allocation budget of one MC energy-plus-gradient evaluation and of
+prediction's parameter samples.
 
 The tracemalloc peak of one `bbalpha_energy_mc` call, counted in (K, B)
 arrays for linear regression at K = 10,000 and in (K, P) arrays for the
@@ -6,6 +7,7 @@ three-class MLP: each evaluation allocates only the (K, .) arrays it keeps
 and a few transient ones.  The caller's draws and data are allocated
 before tracing starts, so they do not count.  Inside `ad.reuse_buffers` a
 second evaluation takes those arrays from the pool the first one filled.
+Prediction's samples are counted in (S, P) arrays: the draws and theta.
 """
 
 import gc
@@ -17,10 +19,13 @@ import pytest
 from bbalpha import autodiff as ad
 from bbalpha import energy as en
 from bbalpha import likelihoods as lk
+from bbalpha import predict
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import default_prior
 
-BUDGET = 6.0          # arrays of the problem's unit size
+# arrays of the problem's unit size: linreg keeps resid and the node's
+# value, whose buffer its VJP reuses, and w
+BUDGET = {"linreg": 3.5, "mlp_classification": 6.0}
 POOLED_BUDGET = 1.5   # the same, for an evaluation inside reuse_buffers
 
 
@@ -71,7 +76,7 @@ def _evaluation(kind, alpha):
 def test_one_evaluation_stays_within_budget(kind, alpha):
     call, unit = _evaluation(kind, alpha)
     peak = _peak_bytes(call)
-    assert peak <= BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
+    assert peak <= BUDGET[kind] * unit, "peak %.2f unit arrays" % (peak / unit)
 
 
 @pytest.mark.parametrize("alpha", [0.5, None])
@@ -87,3 +92,14 @@ def test_a_pooled_evaluation_stays_within_budget(kind, alpha, monkeypatch):
         peak = _peak_bytes(call)
     assert not mapped
     assert peak <= POOLED_BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
+
+
+def test_prediction_samples_stay_within_two_arrays():
+    # eps and theta, plus a few (P,) vectors: sigma * eps takes mu in place
+    model = lk.MLPClassification(2, 50, 50, 3)
+    S, P = 100, model.theta_dim
+    rng = np.random.default_rng(0)
+    q = FactorizedGaussian(rng.normal(0.0, 0.3, size=P), np.full(P, -3.0))
+    unit = S * P * 8
+    peak = _peak_bytes(lambda: predict._theta_samples(q, S, 1))
+    assert peak <= 2.1 * unit, "peak %.2f unit arrays" % (peak / unit)
