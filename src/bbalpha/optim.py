@@ -7,6 +7,7 @@ PRNG streams for initialization, batching and sampling are split from the
 master seed so runs are reproducible bit-for-bit.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -145,11 +146,47 @@ def default_prior(dim) -> NaturalParams:
     return NaturalParams(np.zeros(dim), -0.5 * np.ones(dim))
 
 
-# On a 2-CPU x86 VM a normal takes 15-20 ns to draw, and handing a draw to
-# the helper thread costs 0.2-0.4 ms per step.  From 1 << 15 normals (about
-# 0.6 ms) the overlap saves more than the hand-off costs; with a thread for
-# every size, probit training (K*dim = 800) ran 29% slower.
+# On a 2-CPU x86 VM a normal takes 12-20 ns to draw, and handing a draw to
+# the helper thread on another CPU costs the training thread about 70 us per
+# step.  From 1 << 15 normals (0.4-0.6 ms) the overlap saves more than the
+# hand-off costs; with a thread for every size, probit training (K*dim = 800,
+# a 10 us draw) ran about 30% slower.
 _EPS_THREAD_MIN = 1 << 15
+
+
+def _allowed_cpus():
+    """The CPUs this thread may run on; None where the platform cannot say."""
+    try:
+        return os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None
+
+
+def _current_cpu():
+    """The CPU this thread runs on now (field 39 of Linux's per-thread stat
+    file); None where it cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            # field 2, the command name, may hold spaces and parentheses
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _move_off(allowed, cpu):
+    """Restrict the calling thread to the CPUs in `allowed` other than `cpu`.
+
+    The ε helper runs this once, before its first draw: a new thread starts
+    on its creator's CPU, where the draw and the step would take turns.
+    Where `allowed` or `cpu` is unknown (None) or the call fails, the
+    thread stays where it is.
+    """
+    if allowed is None or cpu is None:
+        return
+    try:
+        os.sched_setaffinity(0, allowed - {cpu})
+    except OSError:
+        pass
 
 
 def _eps_stream(rng, n, shape, pool=None):
@@ -193,10 +230,13 @@ def train(model, data, prior, cfg: TrainConfig):
     also carries the op name.  It chains the original error.
 
     In mc mode each epsilon refresh draws a (k_samples, theta_dim) block.
-    From _EPS_THREAD_MIN normals per block, one helper thread draws the next
-    block while the current step is evaluated; the blocks and every output
-    are the same as without it, and the thread is joined before train
-    returns or raises.  No RuntimeWarning escapes the epoch loop.
+    From _EPS_THREAD_MIN normals per block, and when more than one CPU is
+    allowed, one helper thread draws the next block while the current step
+    is evaluated.  It moves itself off the training thread's CPU first, so
+    that the two run at once; nothing else's CPU affinity changes.  The
+    blocks and every output are the same as without it, and the thread is
+    joined before train returns or raises.  No RuntimeWarning escapes the
+    epoch loop.
     """
     import time
 
@@ -226,11 +266,17 @@ def train(model, data, prior, cfg: TrainConfig):
         n_refresh, batch_size = -(-steps // cfg.refresh_every), cfg.batch_size
         estimate = lambda w, batch, eps: next(
             layout.mc_estimates(w, model, data, batch, alpha, (eps,)))
-    threaded = n_refresh > 0 and cfg.k_samples * dim >= _EPS_THREAD_MIN
+    # one allowed CPU leaves the helper nothing to overlap with
+    allowed = _allowed_cpus()
+    threaded = (n_refresh > 0 and cfg.k_samples * dim >= _EPS_THREAD_MIN
+                and (allowed is None or len(allowed) > 1))
+    helper = nullcontext()
+    if threaded:
+        helper = ThreadPoolExecutor(max_workers=1, initializer=_move_off,
+                                    initargs=(allowed, _current_cpu()))
     # a non-finite value is reported by the checks, which name the op or the
     # step, not as a warning
-    with (ThreadPoolExecutor(max_workers=1) if threaded
-          else nullcontext()) as pool, np.errstate(all="ignore"):
+    with helper as pool, np.errstate(all="ignore"):
         eps_blocks = _eps_stream(eps_rng, n_refresh, (cfg.k_samples, dim),
                                  pool)
         eps, step = None, 0

@@ -1,7 +1,10 @@
 """Optimizer components and the training loop."""
 
+import io
+import os
 import pickle
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -296,10 +299,18 @@ def _wide_linreg(d, n=16):
     return lk.Dataset(X, y), lk.LinearRegression(d, 0.25)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two allowed CPUs, so that train may start the ε helper on any
+    host; the helper's own move is left to the real call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
 # K * dim = 40 draws in line, 40,000 on the helper thread
 @pytest.mark.parametrize("d, k, threaded", [(2, 20, False), (400, 100, True)])
 @pytest.mark.parametrize("refresh_every", [1, 3])
-def test_train_eps_is_the_serial_stream(monkeypatch, d, k, threaded,
+def test_train_eps_is_the_serial_stream(monkeypatch, two_cpus, d, k, threaded,
                                         refresh_every):
     data, model = _wide_linreg(d)
     # 2 epochs of ceil(16 / 5) = 4 steps: 8 steps, ceil(8 / r) refreshes
@@ -336,7 +347,7 @@ def test_train_eps_is_the_serial_stream(monkeypatch, d, k, threaded,
 
 
 @pytest.mark.parametrize("outcome", ["returns", "raises", "exact"])
-def test_no_thread_outlives_train(monkeypatch, outcome):
+def test_no_thread_outlives_train(monkeypatch, two_cpus, outcome):
     data, model = _wide_linreg(400)
     cfg = TrainConfig(alpha=0.5, k_samples=100, batch_size=5, epochs=2, seed=0,
                       energy_mode="exact" if outcome == "exact" else "mc")
@@ -361,6 +372,133 @@ def test_no_thread_outlives_train(monkeypatch, outcome):
     # the helper ran in mc mode, and exact mode draws nothing and starts none
     extra = 0 if outcome == "exact" else 1
     assert set(threads) == {len(before) + extra}
+
+
+def _threaded_run(monkeypatch):
+    """train() on d 400, K 100, where the ε helper draws, and the number of
+    threads seen at each of its 8 steps."""
+    data, model = _wide_linreg(400)
+    cfg = TrainConfig(alpha=0.5, k_samples=100, batch_size=5, epochs=2, seed=3)
+    energy, threads = en.SlotLayout.mc_estimates, []
+
+    def spy(*args):
+        threads.append(threading.active_count())
+        return energy(*args)
+
+    monkeypatch.setattr(en.SlotLayout, "mc_estimates", spy)
+    q, _, _ = train(model, data, default_prior(400), cfg)
+    return q.mu.tobytes() + q.log_var.tobytes(), threads
+
+
+def test_one_allowed_cpu_draws_in_line(monkeypatch, two_cpus):
+    want, threads = _threaded_run(monkeypatch)
+    before = threading.active_count()
+    assert threads == [before + 1] * 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    got, threads = _threaded_run(monkeypatch)
+    assert threads == [before] * 8
+    assert got == want
+
+
+def _no_stat_file(path, *args, **kw):
+    if str(path).startswith("/proc/"):
+        raise PermissionError(13, "Permission denied", path)
+    return open(path, *args, **kw)
+
+
+@pytest.mark.parametrize("failure", ["setaffinity", "proc", "no_calls"])
+def test_helper_placement_never_breaks_a_run(monkeypatch, two_cpus, failure):
+    want, _ = _threaded_run(monkeypatch)
+    calls = []
+    if failure == "setaffinity":
+        def fails(pid, cpus):
+            calls.append(cpus)
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", fails, raising=False)
+        monkeypatch.setattr(optim, "_current_cpu", lambda: 0)
+    elif failure == "proc":
+        monkeypatch.setattr(optim, "open", _no_stat_file, raising=False)
+        assert optim._current_cpu() is None
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    before = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, threads = _threaded_run(monkeypatch)
+    assert caught == []
+    assert got == want
+    assert threads == [before + 1] * 8      # the helper still draws
+    assert calls == ([{1}] if failure == "setaffinity" else [])
+
+
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+def test_helper_alone_moves_off_the_training_cpu(monkeypatch, outcome):
+    real_get = getattr(os, "sched_getaffinity", None)
+    real_set = getattr(os, "sched_setaffinity", None)
+    if real_get is None or real_set is None:
+        pytest.skip("the platform cannot set a thread's CPUs")
+    calls = []
+
+    def spy(pid, cpus):
+        calls.append((threading.current_thread(), pid, set(cpus)))
+        real_set(pid, cpus)
+
+    affinity = real_get(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    monkeypatch.setattr(optim, "_current_cpu", lambda: 0)
+    if outcome == "raises":
+        def fail(*args):
+            raise ImproperCavity("negative cavity precision")
+
+        monkeypatch.setattr(en.SlotLayout, "mc_estimates", fail)
+        data, model = _wide_linreg(400)
+        cfg = TrainConfig(alpha=0.5, k_samples=100, batch_size=5, epochs=2)
+        with pytest.raises(DivergenceDetected):
+            train(model, data, default_prior(400), cfg)
+    else:
+        _threaded_run(monkeypatch)
+    assert len(calls) == 1
+    thread, pid, cpus = calls[0]
+    assert thread is not threading.current_thread()
+    assert thread.name.startswith("ThreadPoolExecutor")
+    assert (pid, cpus) == (0, {1})
+    assert real_get(0) == affinity
+
+
+def test_current_cpu_reads_field_39(monkeypatch):
+    # a command name may hold spaces and parentheses
+    fields = ["1234", "(a) (b c)", "R"] + [str(i) for i in range(4, 53)]
+    stat = " ".join(fields).encode()
+    monkeypatch.setattr(optim, "open", lambda *a: io.BytesIO(stat),
+                        raising=False)
+    assert optim._current_cpu() == 39
+
+
+def test_helper_runs_beside_the_training_thread(monkeypatch):
+    allowed = optim._allowed_cpus()
+    cpu = optim._current_cpu()
+    if allowed is None or len(allowed) < 2 or cpu is None:
+        pytest.skip("needs two allowed CPUs and Linux's per-thread stat file")
+    seen, move_off, current_cpu = [], optim._move_off, optim._current_cpu
+
+    def spy_cpu():
+        seen.append(current_cpu())
+        return seen[-1]
+
+    def spy_move(allowed, cpu):
+        move_off(allowed, cpu)
+        seen.append(os.sched_getaffinity(0))
+
+    monkeypatch.setattr(optim, "_current_cpu", spy_cpu)
+    monkeypatch.setattr(optim, "_move_off", spy_move)
+    _threaded_run(monkeypatch)
+    cpu, helper_cpus = seen
+    assert helper_cpus == allowed - {cpu}
+    assert optim._allowed_cpus() == allowed
 
 
 @pytest.mark.parametrize("mode", ["mc", "exact"])
