@@ -161,8 +161,10 @@ def _val(x):
 
 
 def _unbroadcast(g, shape):
-    """Sum gradient g down to `shape` to undo numpy broadcasting."""
-    g = np.asarray(g)
+    """Sum gradient g down to `shape` to undo numpy broadcasting; a g of
+    that shape already is returned untouched."""
+    if np.shape(g) == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -176,26 +178,12 @@ def _binary(name, fwd, vjp_a, vjp_b):
     # each cell is one more GC-tracked object, and more of them per node
     # make the cyclic collector run more often while a tape is recorded
     def op(a, b):
-        a_var, b_var = isinstance(a, Var), isinstance(b, Var)
-        av = a.value if a_var else np.asarray(a, dtype=float)
-        bv = b.value if b_var else np.asarray(b, dtype=float)
-        out = fwd(av, bv)
-        if not (a_var or b_var):
-            return out
-        parents = []
-        if a_var:
-            if av.shape == out.shape:
-                vjp = lambda g, av=av, bv=bv: vjp_a(g, av, bv)
-            else:
-                vjp = lambda g, av=av, bv=bv: _unbroadcast(vjp_a(g, av, bv), av.shape)
-            parents.append((a, vjp))
-        if b_var:
-            if bv.shape == out.shape:
-                vjp = lambda g, av=av, bv=bv: vjp_b(g, av, bv)
-            else:
-                vjp = lambda g, av=av, bv=bv: _unbroadcast(vjp_b(g, av, bv), bv.shape)
-            parents.append((b, vjp))
-        return Var(out, (a if a_var else b).tape, tuple(parents), name)
+        av, bv = _val(a), _val(b)
+        return node(fwd(av, bv), name,
+                    (a, lambda g, av=av, bv=bv: _unbroadcast(vjp_a(g, av, bv),
+                                                             av.shape)),
+                    (b, lambda g, av=av, bv=bv: _unbroadcast(vjp_b(g, av, bv),
+                                                             bv.shape)))
 
     return op
 

@@ -57,6 +57,14 @@ def load_posterior(path):
     return FactorizedGaussian(mu, log_var)
 
 
+def _write_csv(path, header, rows, fmt="%.10g"):
+    """Write the `header` line, then each row's numbers in `fmt`, comma-separated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for r in rows:
+            fh.write(",".join(fmt % v for v in r) + "\n")
+
+
 def _load_config(path):
     """The YAML mapping at `path`; its `dataset` and `model` are required."""
     with open(path, encoding="utf-8") as fh:
@@ -247,12 +255,12 @@ def cmd_train(config_path, out_dir=None):
     lls = np.array([r["test_ll"] for r in results])
     errs = np.array([r["test_error"] for r in results])
     se = lambda v: float(np.std(v, ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
+    fields = ("split", "test_ll", "test_error", "final_energy")
     report = {
         "config": {k: v for k, v in cfg.items()},
         "seed": seed,
         "n_splits": n_splits,
-        "splits": [{k: r[k] for k in ("split", "test_ll", "test_error",
-                                      "final_energy")} for r in results],
+        "splits": [{k: r[k] for k in fields} for r in results],
         "avg_test_ll": float(lls.mean()),
         "se_test_ll": se(lls),
         "avg_test_error": float(errs.mean()),
@@ -261,12 +269,8 @@ def cmd_train(config_path, out_dir=None):
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
-        fh.write("split,test_ll,test_error,final_energy\n")
-        for r in results:
-            fh.write("%d,%.10g,%.10g,%.10g\n"
-                     % (r["split"], r["test_ll"], r["test_error"],
-                        r["final_energy"]))
+    _write_csv(out / "metrics.csv", ",".join(fields),
+               ([r[k] for k in fields] for r in results))
     for r in results:
         save_posterior(r["q"], out / ("posterior_split%03d.txt" % r["split"]))
     return report
@@ -359,10 +363,7 @@ def analytic_cmd(example, sigma2, alpha_min, alpha_max, steps, out):
         q_dist = oracle.GaussianDist(np.zeros(2), q_var * np.eye(2))
         kl = oracle.kl_divergence(q_dist, truth)
         rows.append((a, lam, q_var, true_var, kl))
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("alpha,lambda,q_variance,true_variance,kl_to_truth\n")
-        for r in rows:
-            fh.write("%.10g,%.10g,%.10g,%.10g,%.10g\n" % r)
+    _write_csv(out, "alpha,lambda,q_variance,true_variance,kl_to_truth", rows)
     click.echo("wrote %d rows to %s" % (len(rows), out))
 
 
@@ -394,12 +395,8 @@ def toy_predictive_cmd(alphas, seed, epochs, out):
     """Predictive mean/std on the cubic toy task for several alphas."""
     alpha_list = _floats("--alphas", alphas)
     results = run_toy_predictive(alpha_list, seed, epochs=epochs)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("alpha,x,pred_mean,pred_std\n")
-        for a in alpha_list:
-            grid, mean, std = results[a]
-            for x, m, s in zip(grid, mean, std):
-                fh.write("%.10g,%.10g,%.10g,%.10g\n" % (a, x, m, s))
+    _write_csv(out, "alpha,x,pred_mean,pred_std",
+               ((a, *row) for a in alpha_list for row in zip(*results[a])))
     click.echo("wrote %s" % out)
 
 
@@ -409,10 +406,7 @@ def toy_predictive_cmd(alphas, seed, epochs, out):
 def gen_toy_cmd(seed, out):
     """Write the cubic toy dataset as CSV."""
     data = lk.gen_toy_cubic(seed)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for x, y in zip(data.features[:, 0], data.targets):
-            fh.write("%.17g,%.17g\n" % (x, y))
+    _write_csv(out, "x,y", zip(data.features[:, 0], data.targets), "%.17g")
     click.echo("wrote %s" % out)
 
 
@@ -429,14 +423,13 @@ def divergence_cmd(mu1, var1, mu2, var2, alpha_min, alpha_max, steps, out):
     """Tabulate D_alpha between two diagonal Gaussians over an alpha grid."""
     p = oracle.GaussianDist(_floats("--mu1", mu1), np.diag(_floats("--var1", var1)))
     q = oracle.GaussianDist(_floats("--mu2", mu2), np.diag(_floats("--var2", var2)))
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("alpha,divergence\n")
-        for a in np.linspace(alpha_min, alpha_max, steps):
-            try:
-                d = oracle.alpha_divergence(p, q, float(a))
-                fh.write("%.10g,%.10g\n" % (a, d))
-            except UndefinedDivergence:
-                fh.write("%.10g,inf\n" % a)
+    rows = []
+    for a in np.linspace(alpha_min, alpha_max, steps):
+        try:
+            rows.append((a, oracle.alpha_divergence(p, q, float(a))))
+        except UndefinedDivergence:
+            rows.append((a, np.inf))        # written as inf
+    _write_csv(out, "alpha,divergence", rows)
     click.echo("wrote %s" % out)
 
 

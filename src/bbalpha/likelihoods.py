@@ -292,24 +292,24 @@ def gen_toy_cubic(seed, n=20):
     return Dataset(x[:, None], y, name="toy_cubic", task="regression")
 
 
-def gen_synthetic_probit(seed, n=200, d=4, w_scale=1.5):
-    """Probit-noise labels from a random linear rule; labels in {-1, +1}."""
+def gen_synthetic_probit(seed, n=200, d=4):
+    """Probit-noise labels in {-1, +1} from N(0, 1.5^2) linear weights."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, w_scale, size=d)
+    w = rng.normal(0.0, 1.5, size=d)
     X = rng.normal(size=(n, d))
     p = ad.norm_cdf(X @ w)
     y = np.where(rng.uniform(size=n) < p, 1.0, -1.0)
     return Dataset(X, y, name="synthetic_probit", task="probit")
 
 
-def gen_three_class(seed, n=120, d=2, spread=2.5):
-    """Three Gaussian blobs around the corners of a triangle."""
+def gen_three_class(seed, n=120):
+    """Three 2-D Gaussian blobs around the corners of a triangle."""
     rng = np.random.default_rng(seed)
-    centers = spread * np.array([[1.0, 0.0], [-0.5, 0.9], [-0.5, -0.9]])
+    centers = 2.5 * np.array([[1.0, 0.0], [-0.5, 0.9], [-0.5, -0.9]])
     per = n // 3
     X, y = [], []
     for c in range(3):
-        X.append(centers[c, :d] + rng.normal(size=(per, d)))
+        X.append(centers[c] + rng.normal(size=(per, 2)))
         y.append(np.full(per, c))
     return Dataset(np.vstack(X), np.concatenate(y),
                    name="three_class", task="classification")
@@ -351,24 +351,20 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         for name in feat_names:
             if name not in header:
                 raise MissingColumn("column %r not in header of %s" % (name, path))
-        t_idx = header.index(schema.target)
-        f_idx = [header.index(n) for n in feat_names]
+        # the features, then the target, which vals.pop() takes off
+        cells = [(n, header.index(n)) for n in (*feat_names, schema.target)]
         rows, targets = [], []
         for rno, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
             vals = []
-            for name, ci in zip(feat_names, f_idx):
+            for name, ci in cells:
                 try:
                     vals.append(float(row[ci]))
                 except (ValueError, IndexError):
                     raise ParseError("%s: bad numeric cell at row %d, column %r"
                                      % (path, rno, name))
-            try:
-                targets.append(float(row[t_idx]))
-            except (ValueError, IndexError):
-                raise ParseError("%s: bad numeric cell at row %d, column %r"
-                                 % (path, rno, schema.target))
+            targets.append(vals.pop())
             rows.append(vals)
     X = np.asarray(rows, dtype=float)
     y = np.asarray(targets, dtype=float)

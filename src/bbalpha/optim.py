@@ -82,9 +82,9 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(state: AdamState, params, grad, lr, beta1=0.9, beta2=0.999,
-              eps_hat=1e-8):
+def adam_step(state: AdamState, params, grad, lr):
     """One bias-corrected Adam update, moments in place; returns new params."""
+    beta1, beta2, eps_hat = 0.9, 0.999, 1e-8    # Kingma & Ba's, fixed
     state.t += 1
     tmp = np.multiply(grad, 1 - beta1)
     state.m *= beta1

@@ -1,5 +1,8 @@
 """Tape autodiff: primitive correctness, stability and the FD checker."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from scipy import special
@@ -290,3 +293,13 @@ def test_backward_keeps_only_leaf_gradients():
     ad._backward(out)
     assert np.allclose(a.grad, np.exp(np.arange(3.0)) * (1.0 + np.arange(3.0)))
     assert all(node.grad is None for node in tape.nodes if node.parents)
+
+
+def test_only_node_and_the_leaves_make_a_var():
+    # every op builds its node with ad.node, the one place that drops plain
+    # operands and returns a plain value when no operand is a Var
+    tree = ast.parse(pathlib.Path(ad.__file__).read_text(encoding="utf-8"))
+    makers = {getattr(top, "name", None) for top in tree.body
+              for n in ast.walk(top)
+              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Var"}
+    assert makers == {"node", "_evaluate"}

@@ -48,11 +48,11 @@ def test_adam_step_matches_the_out_of_place_update_bit_for_bit():
     want, m, v = w, np.zeros(11), np.zeros(11)
     for t in range(1, 6):
         g = rng.normal(size=11) * 10.0 ** rng.uniform(-6, 6, size=11)
-        w = adam_step(state, w, g, 0.01, 0.8, 0.99, 1e-6)
-        m = 0.8 * m + (1 - 0.8) * g
-        v = 0.99 * v + (1 - 0.99) * g * g
-        m_hat, v_hat = m / (1 - 0.8 ** t), v / (1 - 0.99 ** t)
-        want = want - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-6)
+        w = adam_step(state, w, g, 0.01)
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        m_hat, v_hat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+        want = want - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.array_equal(w, want)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
     assert state.t == 5
