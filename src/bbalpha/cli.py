@@ -138,10 +138,17 @@ def _floats(option, text):
                           % (option, text)) from None
 
 
+# the keys each dataset kind reads besides `kind`
+_DATASET_KEYS = {"csv": ("path", "target", "task", "feature_columns"),
+                 "toy_cubic": ("seed", "n"), "synthetic_probit": ("seed", "n", "d"),
+                 "three_class": ("seed", "n")}
+
+
 def _build_dataset(dcfg):
-    _known("dataset", dcfg, ("kind", "seed", "n", "d", "path", "target", "task",
-                             "feature_columns"))
     kind = _read("dataset", dcfg, "kind", str, "csv")
+    if kind not in _DATASET_KEYS:
+        raise ConfigError("unknown dataset kind %r" % kind)
+    _known("dataset", dcfg, ("kind",) + _DATASET_KEYS[kind])
     seed = _read("dataset", dcfg, "seed", int, 0, low=0)
     if kind == "csv":
         schema = lk.CsvSchema(
@@ -155,21 +162,24 @@ def _build_dataset(dcfg):
         return lk.gen_synthetic_probit(
             seed, n=_read("dataset", dcfg, "n", int, 200, low=1),
             d=_read("dataset", dcfg, "d", int, 4, low=1))
-    if kind == "three_class":
-        return lk.gen_three_class(seed, n=_read("dataset", dcfg, "n", int, 120, low=1))
-    raise ConfigError("unknown dataset kind %r" % kind)
+    return lk.gen_three_class(seed, n=_read("dataset", dcfg, "n", int, 120, low=1))
 
 
-def _build_model(mcfg, n_features):
-    """The model of the `model` section, each key read with the type its
-    kind gives it (counts >= 1); `make_model` rejects keys the kind lacks."""
+def _build_model(mcfg, data):
+    """The model of the `model` section for the Dataset `data`, each key read
+    with the type its kind gives it (counts >= 1); `make_model` rejects keys
+    the kind lacks, and a kind that serves another task is rejected here."""
     kind = _read("model", mcfg, "kind", str)
     kw = {k: v for k, v in mcfg.items() if k != "kind"}
     for key, key_kind in lk.MODEL_KEYS.get(kind, {}).items():
         if key in kw:
             kw[key] = _read("model", kw, key, key_kind,
                             low=1 if key_kind is int else None)
-    return lk.make_model(kind, n_features, **kw)
+    model = lk.make_model(kind, data.d, **kw)
+    if model.task != data.task:
+        raise ConfigError("model kind %s serves %s data, not %s data"
+                          % (kind, model.task, data.task))
+    return model
 
 
 def _train_config(tcfg):
@@ -194,7 +204,7 @@ def _run_split(args):
     tr, te = dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
     tr, te = lk.standardize_train_test(tr, te)
 
-    model = _build_model(_section(cfg, "model"), tr.d)
+    model = _build_model(_section(cfg, "model"), tr)
     tconf = _train_config(_section(cfg, "train"))
     tconf.seed = int(np.random.default_rng([seed, split_idx, 7]).integers(2 ** 31))
     q, hypers, trace = train(model, tr, default_prior(model.theta_dim), tconf)
@@ -237,7 +247,8 @@ def cmd_train(config_path, out_dir=None):
                               "train_fraction", "metrics_k"))
     n_splits = _read("experiment", ex, "n_splits", int, 1, low=1)
     seed = _read("experiment", ex, "seed", int, 0, low=0)
-    workers = _read("experiment", ex, "workers", int, 1, low=1)
+    # never more processes than splits: one split runs in this process
+    workers = min(_read("experiment", ex, "workers", int, 1, low=1), n_splits)
     out = pathlib.Path(out_dir or _read("experiment", ex, "output_dir", str, "."))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -316,7 +327,7 @@ def bias_cmd(config_path, out):
     _known("bias", b, ("alphas", "ks", "n_minibatches", "n_repeats", "k_truth",
                        "batch_size", "seed"))
     dataset = _build_dataset(_section(cfg, "dataset"))
-    model = _build_model(_section(cfg, "model"), dataset.d)
+    model = _build_model(_section(cfg, "model"), dataset)
     tconf = _train_config(_section(cfg, "train"))
     q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
     report = gradient_bias_study(

@@ -92,6 +92,7 @@ class ProbitRegression:
     """p(y|theta, x) = Phi(y * theta^T x), labels in {-1, +1}."""
 
     kind = "probit"
+    task = "probit"          # the Dataset task it serves
 
     def __init__(self, n_features):
         self.theta_dim = n_features
@@ -112,6 +113,7 @@ class LinearRegression:
     """Gaussian likelihood y = theta^T x + noise with fixed variance sigma2."""
 
     kind = "linreg"
+    task = "regression"
 
     def __init__(self, n_features, sigma2):
         if sigma2 <= 0:
@@ -200,6 +202,7 @@ class MLPRegression:
     """
 
     kind = "mlp_regression"
+    task = "regression"
 
     def __init__(self, n_features, n_hidden, log_sigma2=0.0):
         self.d_in = n_features
@@ -228,6 +231,7 @@ class MLPClassification:
     """Two-hidden-layer rectifier network with softmax readout."""
 
     kind = "mlp_classification"
+    task = "classification"
 
     def __init__(self, n_features, n_hidden1, n_hidden2, n_classes):
         self.d_in = n_features

@@ -47,8 +47,15 @@ class TrainConfig:
         if self.alpha in (0.0, n_data):
             raise ConfigError("alpha must not be 0 (use 'vb') or the training "
                               "set size %d, got %r" % (n_data, self.alpha))
+        if self.alpha != "vb" and not abs(self.alpha) < np.inf:   # NaN fails too
+            raise ConfigError("alpha must be finite, got %r" % self.alpha)
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError("unknown optimizer %r" % self.optimizer)
+        rates = ("learning_rate",) if self.optimizer == "adam" else ("sgd_a", "sgd_b")
+        for name in rates + ("divergence_factor",):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:                            # NaN fails too
+                raise ConfigError("%s must be finite and > 0, got %r" % (name, value))
         if self.energy_mode not in ("mc", "exact"):
             raise ConfigError("unknown energy_mode %r" % self.energy_mode)
         if self.energy_mode == "exact" and self.alpha == "vb":
@@ -59,8 +66,6 @@ class TrainConfig:
                               "refresh_every must be >= 1")
         if self.energy_mode == "mc" and self.batch_size > n_data:
             raise ConfigError("batch_size exceeds dataset size")
-        if self.optimizer == "sgd" and (self.sgd_a <= 0 or self.sgd_b <= 0):
-            raise ConfigError("SGD schedule requires a, b > 0")
         if not 0.0 <= self.init_std < np.inf:       # NaN fails too
             raise ConfigError("init_std must be finite and >= 0, got %r"
                               % self.init_std)

@@ -1,19 +1,27 @@
 """Command-line interface: file formats, exit codes and small end-to-end runs."""
 
+import concurrent.futures
+import copy
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbalpha import cli
+from bbalpha import likelihoods as lk
 from bbalpha.expfam import FactorizedGaussian
+from bbalpha.optim import TrainConfig
 
 
 @pytest.fixture
@@ -356,6 +364,35 @@ def test_divergent_run_with_workers_exits_3(runner, tmp_path):
     _assert_one_line_exit(result, 3, "divergence:")
 
 
+def test_workers_never_exceed_the_splits(runner, tmp_path, monkeypatch):
+    # a fake pool that maps in this process: no worker process starts
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert concurrent.futures.ProcessPoolExecutor is InProcessPool
+    for workers, n_splits in ((5000, 2), (3, 1)):
+        path = _tiny_train_config(tmp_path, experiment={
+            "n_splits": n_splits, "workers": workers,
+            "output_dir": str(tmp_path / "out")})
+        result = runner.invoke(cli.main, ["train", path])
+        assert result.exit_code == 0, result.output
+    # the single split ran in process, with no pool
+    assert started == [2]
+
+
 @pytest.mark.parametrize("key", ["target", "path"])
 def test_missing_csv_dataset_key_exits_2(runner, tmp_path, key):
     path = _csv_train_config(tmp_path, **{key: None})
@@ -433,10 +470,22 @@ def test_config_and_io_errors_with_workers_keep_exit_codes(runner, tmp_path,
     (["alpha", 0.5], "train section must be a mapping, not list"),
     ({"learn_noise": True}, "learn_noise needs a model with a noise slot; "
                             "probit has none"),
+    ({"alpha": float("nan")}, "alpha must be finite, got nan"),
+    ({"alpha": float("inf")}, "alpha must be finite, got inf"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
+    ({"learning_rate": -1.0}, "learning_rate must be finite and > 0, got -1.0"),
+    ({"divergence_factor": float("nan")},
+     "divergence_factor must be finite and > 0, got nan"),
+    ({"divergence_factor": -1.0}, "divergence_factor must be finite and > 0, got -1.0"),
+    ({"optimizer": "sgd", "sgd_a": float("nan")}, "sgd_a must be finite and > 0, got nan"),
+    ({"optimizer": "sgd", "sgd_b": float("inf")}, "sgd_b must be finite and > 0, got inf"),
 ], ids=["alpha_0", "alpha_n", "optimizer", "energy_mode", "exact_probit",
         "exact_vb", "batch_size_0", "batch_size_55", "refresh_every_0", "learning_rate_str",
         "epochs_str", "k_samples_float", "train_not_mapping",
-        "learn_noise_probit"])
+        "learn_noise_probit", "alpha_nan", "alpha_inf", "learning_rate_nan",
+        "learning_rate_inf", "learning_rate_negative", "divergence_factor_nan",
+        "divergence_factor_negative", "sgd_a_nan", "sgd_b_inf"])
 def test_bad_train_setting_exits_2(runner, tmp_path, train, needle):
     path = _tiny_train_config(tmp_path)
     cfg = yaml.safe_load(open(path, encoding="utf-8"))
@@ -456,20 +505,26 @@ _TINY_BIAS = {"alphas": [0.5], "ks": [1, 5], "n_minibatches": 2,
 
 def _table_config(tmp_path, sections):
     """The tiny train config with a tiny `bias` section; a mapping in
-    `sections` updates that section, anything else replaces it."""
+    `sections` updates that section unless it names a `kind`, and anything
+    else replaces it."""
     cfg = yaml.safe_load(open(_tiny_train_config(tmp_path, bias=_TINY_BIAS),
                               encoding="utf-8"))
     for name, value in sections.items():
-        if isinstance(value, dict) and isinstance(cfg.get(name), dict):
+        if (isinstance(value, dict) and "kind" not in value
+                and isinstance(cfg.get(name), dict)):
             cfg[name].update(value)
         else:
             cfg[name] = value
     return _write_config(tmp_path / "cfg_table.yaml", cfg)
 
 
+# the toy_cubic data of the linreg rows, with the base config's seed
+_TOY = {"kind": "toy_cubic", "seed": 1, "n": 60}
+
+
 def _toy_linreg(learning_rate):
     """Sections of a linreg run on toy_cubic whose steps overflow."""
-    return {"dataset": {"kind": "toy_cubic", "n": 60},
+    return {"dataset": _TOY,
             "model": {"kind": "linreg", "sigma2": 0.25},
             "train": {"alpha": -0.5, "k_samples": 10, "batch_size": 8,
                       "learning_rate": learning_rate}}
@@ -513,7 +568,7 @@ _NO_FILE = "No such file or directory"
      "experiment section must be a mapping, not int"),
     (["train", "{cfg}"], {"model": {"kind": "linreg", "sigma2": -1}}, 2,
      "config error: sigma2 = -1"),
-    (["train", "{cfg}"], {"dataset": {"kind": "three_class", "n": 30},
+    (["train", "{cfg}"], {"dataset": {"kind": "three_class", "seed": 1, "n": 30},
                           "model": {"kind": "mlp_classification", "n_classes": 2,
                                     "n_hidden1": 5, "n_hidden2": 5}}, 2,
      "config error: labels outside [0, 2)"),
@@ -549,14 +604,15 @@ _NO_FILE = "No such file or directory"
      "unknown bias key(s): n_repeat"),
     (["train", "{cfg}"], {"train": {"adam_beta1": 0.8}}, 2,
      "unknown train key(s): adam_beta1"),
-    (["train", "{cfg}"], {"model": {"kind": "linreg"},
+    (["train", "{cfg}"], {"dataset": _TOY, "model": {"kind": "linreg"},
                           "train": {"optimizer": "sgd", "sgd_a": 1.7e308,
                                     "sgd_b": 1.0}}, 3,
      "divergence: non-finite parameters after the update at epoch 0, step 0"),
     (["train", "{cfg}"], {"train": {"init_std": -1}}, 2,
      "config error: init_std must be finite and >= 0, got -1.0"),
     # the closed form overflows; its warnings must not print before the line
-    (["train", "{cfg}"], {"model": {"kind": "linreg", "sigma2": 1e-300},
+    (["train", "{cfg}"], {"dataset": _TOY,
+                          "model": {"kind": "linreg", "sigma2": 1e-300},
                           "train": {"energy_mode": "exact"}}, 3,
      "divergence: op 'exact_energy' produced a non-finite value at epoch 0, step 0"),
     # a step overflows in the site step's exp, then in the linreg node's
@@ -565,6 +621,13 @@ _NO_FILE = "No such file or directory"
      "divergence: op 'reparam' produced a non-finite value at epoch 0, step 1"),
     (["train", "{cfg}"], _toy_linreg(1e3), 3,
      "divergence: op 'linreg' produced a non-finite value at epoch 0, step 1"),
+    # train's check of the model kind against the data is the pair test's
+    (["bias", "{cfg}", "--out", "{tmp}/b.csv"], {"model": {"kind": "linreg"}}, 2,
+     "model kind linreg serves regression data, not probit data"),
+    (["train", "{cfg}"], {"dataset": {"kind": "three_class", "d": 5}}, 2,
+     "unknown dataset key(s): d"),
+    (["train", "{cfg}"], {"dataset": {"kind": "toy_cubic", "path": "x.csv"}}, 2,
+     "unknown dataset key(s): path"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -577,7 +640,8 @@ _NO_FILE = "No such file or directory"
         "model_log_sigma2_list", "experiment_key_typo", "dataset_key_typo",
         "bias_key_typo", "adam_beta1_unknown", "sgd_update_overflows",
         "init_std_negative", "exact_closed_form_overflows", "site_exp_overflows",
-        "linreg_node_overflows"])
+        "linreg_node_overflows", "bias_probit_data_linreg",
+        "three_class_reads_no_d", "toy_cubic_reads_no_path"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)
@@ -623,3 +687,114 @@ def test_bad_csv_setting_exits_2(runner, tmp_path, dataset, needle):
     path = _csv_train_config(tmp_path, **dataset)
     result = runner.invoke(cli.main, ["train", path])
     _assert_one_line_exit(result, 2, needle)
+
+
+# Generated configs: small valid runs of every model kind, each with one or
+# two keys set to an edge value.  Counts stay small (an int key takes at
+# most 1 from the edges) and workers stays at 1, so no example asks for
+# large arrays or for processes.
+_EDGES = [0, 1, -1, 1e308, -1e308, 1e-300, float("nan"), float("inf"),
+          float("-inf"), "x", True, False, None, [1.0], {"a": 1}]
+_SMALL_TRAIN = {"alpha": 0.5, "k_samples": 5, "batch_size": 8, "epochs": 2,
+                "learning_rate": 0.05}
+_DATASETS = {"toy_cubic": {"kind": "toy_cubic", "seed": 1, "n": 30},
+             "synthetic_probit": {"kind": "synthetic_probit", "seed": 1,
+                                  "n": 30, "d": 2},
+             "three_class": {"kind": "three_class", "seed": 1, "n": 30},
+             "csv": {"kind": "csv", "path": "data.csv", "target": "y"}}
+_MODELS = {"linreg": {"kind": "linreg", "sigma2": 9.0},
+           "mlp_regression": {"kind": "mlp_regression", "n_hidden": 4},
+           "probit": {"kind": "probit"},
+           "mlp_classification": {"kind": "mlp_classification", "n_hidden1": 4,
+                                  "n_hidden2": 4, "n_classes": 3}}
+_BASES = [("toy_cubic", "linreg"), ("toy_cubic", "mlp_regression"),
+          ("synthetic_probit", "probit"), ("three_class", "mlp_classification")]
+
+
+def _keys(dataset, model):
+    """The (section, key) pairs that a config of these kinds reads."""
+    return ([("dataset", k) for k in ("kind", *cli._DATASET_KEYS[dataset])]
+            + [("model", k) for k in ("kind", *lk.MODEL_KEYS[model])]
+            + [("train", f.name) for f in dataclasses.fields(TrainConfig)]
+            + [("experiment", k) for k in ("n_splits", "seed", "train_fraction",
+                                           "metrics_k")])
+
+
+# every key some kind reads, most of them unknown to any one config
+_ALL_KEYS = sorted({key for d in _DATASETS for m in _MODELS for key in _keys(d, m)})
+_LABELS = {2: "config error: ", 3: "divergence: ", 4: "IO error: "}
+
+
+@pytest.fixture(scope="module")
+def gen_dir(tmp_path_factory):
+    """A directory holding the regression CSV that the csv dataset reads."""
+    path = tmp_path_factory.mktemp("generated")
+    rng = np.random.default_rng(0)
+    rows = ["%.6f,%.6f,%.6f" % (a, b, a - 2.0 * b) for a, b in rng.normal(size=(30, 2))]
+    (path / "data.csv").write_text("x1,x2,y\n" + "\n".join(rows) + "\n",
+                                   encoding="utf-8")
+    return path
+
+
+def _config(dataset, model):
+    return {"dataset": copy.deepcopy(_DATASETS[dataset]),
+            "model": copy.deepcopy(_MODELS[model]), "train": dict(_SMALL_TRAIN),
+            "experiment": {"n_splits": 1, "seed": 0, "workers": 1, "metrics_k": 5}}
+
+
+def _run_as_documented(runner, directory, cfg):
+    """Run `bbalpha train` on cfg; check the exit code is documented, that a
+    failure prints one labelled line and that no RuntimeWarning escapes."""
+    if cfg["dataset"].get("path") == "data.csv":
+        cfg["dataset"]["path"] = str(directory / "data.csv")
+    path = directory / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(cli.main, ["train", str(path),
+                                          "--out-dir", str(directory / "out")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
+    assert result.exit_code in (0, 2, 3, 4), (cfg, result.output, result.exception)
+    if result.exit_code:
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, (cfg, result.stderr)
+        assert lines[0].startswith(_LABELS[result.exit_code]), (cfg, result.stderr)
+    return result
+
+
+@pytest.mark.parametrize("dataset", sorted(_DATASETS))
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_every_dataset_and_model_kind_pair_exits_as_documented(runner, gen_dir,
+                                                               dataset, model):
+    result = _run_as_documented(runner, gen_dir, _config(dataset, model))
+    task = {"csv": "regression", "toy_cubic": "regression",
+            "synthetic_probit": "probit", "three_class": "classification"}[dataset]
+    serves = {"linreg": "regression", "mlp_regression": "regression",
+              "probit": "probit", "mlp_classification": "classification"}[model]
+    if serves == task:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 2
+        assert ("model kind %s serves %s data, not %s data" % (model, serves, task)
+                in result.stderr)
+
+
+@st.composite
+def _generated_configs(draw):
+    dataset, model = draw(st.sampled_from(_BASES))
+    if draw(st.integers(0, 3)) == 0:        # any dataset kind with any model kind
+        dataset = draw(st.sampled_from(sorted(_DATASETS)))
+        model = draw(st.sampled_from(sorted(_MODELS)))
+    cfg = _config(dataset, model)
+    keys = _keys(dataset, model) if draw(st.integers(0, 7)) else _ALL_KEYS
+    for section, key in draw(st.lists(st.sampled_from(keys), min_size=1,
+                                      max_size=2, unique=True)):
+        cfg[section][key] = draw(st.sampled_from(_EDGES))
+    return cfg
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(cfg=_generated_configs())
+def test_generated_configs_exit_as_documented(gen_dir, cfg):
+    _run_as_documented(CliRunner(), gen_dir, cfg)
