@@ -90,8 +90,8 @@ def test_divergence_table(runner, tmp_path):
     assert all(v == "inf" or float(v) >= 0.0 for v in vals)
 
 
-# sha256 of each CSV the commands write, pinned on the hand-written writers
-# that _write_csv replaced; the divergence table holds 7 undefined rows
+# sha256 of each CSV the commands write, so that a change to the writer
+# keeps every byte; the divergence table holds 7 undefined (inf) rows
 @pytest.mark.parametrize("argv, name, digest", [
     (["train", "{cfg}"], "out/metrics.csv",
      "7cefa4e71116065e32b2eb7826fb1f04571c634f1b2cdeb609b6bd3e2a0b5953"),
