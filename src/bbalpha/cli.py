@@ -91,44 +91,6 @@ def _section(cfg, name):
     return section
 
 
-def _read(section, cfg, key, kind, default=None, low=None):
-    """`section.key` from the mapping `cfg` as `kind`: required when
-    `default` is None, a list of `kind` when `default` is a list.  Numbers,
-    and strings such as YAML's unquoted 1e-3, widen to float; `object` (the
-    train alpha) is a float or 'vb'.  With `low`, smaller values are rejected."""
-    if key not in cfg and default is None:
-        raise ConfigError("missing required key %s.%s" % (section, key))
-    value = cfg.get(key, default)
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError("%s %s must be a list, not %r" % (section, key, value))
-        return [_read(section, {key: v}, key, kind, low=low) for v in value]
-    if kind is object and value == "vb":
-        return value
-    ok = kind is bool or not isinstance(value, bool)
-    if ok and kind in (float, object):
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            ok = False
-    elif ok:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError("%s %s must be %s, not %r" % (
-            section, key, "a number or 'vb'" if kind is object else kind.__name__,
-            value))
-    if low is not None and not value >= low:
-        raise ConfigError("%s %s must be >= %s, not %r" % (section, key, low, value))
-    return value
-
-
-def _known(section, cfg, keys):
-    """Reject the keys of the mapping `cfg` that are not in `keys`."""
-    unknown = sorted(str(k) for k in cfg if k not in keys)
-    if unknown:
-        raise ConfigError("unknown %s key(s): %s" % (section, ", ".join(unknown)))
-
-
 def _floats(option, text):
     """A comma-separated list of numbers given on the command line."""
     try:
@@ -138,62 +100,55 @@ def _floats(option, text):
                           % (option, text)) from None
 
 
-# the keys each dataset kind reads besides `kind`
-_DATASET_KEYS = {"csv": ("path", "target", "task", "feature_columns"),
-                 "toy_cubic": ("seed", "n"), "synthetic_probit": ("seed", "n", "d"),
-                 "three_class": ("seed", "n")}
+# the callable that takes each dataset kind's keys
+_DATASETS = {"csv": lk.csv_dataset, "toy_cubic": lk.gen_toy_cubic,
+             "synthetic_probit": lk.gen_synthetic_probit,
+             "three_class": lk.gen_three_class}
 
 
 def _build_dataset(dcfg):
-    kind = _read("dataset", dcfg, "kind", str, "csv")
-    if kind not in _DATASET_KEYS:
+    kind = lk.read_value("dataset", "kind", str, dcfg.get("kind", "csv"))
+    if kind not in _DATASETS:
         raise ConfigError("unknown dataset kind %r" % kind)
-    _known("dataset", dcfg, ("kind",) + _DATASET_KEYS[kind])
-    seed = _read("dataset", dcfg, "seed", int, 0, low=0)
-    if kind == "csv":
-        schema = lk.CsvSchema(
-            target=_read("dataset", dcfg, "target", str),
-            task=_read("dataset", dcfg, "task", str, "regression"),
-            feature_columns=_read("dataset", dcfg, "feature_columns", str, []))
-        return lk.load_csv(_read("dataset", dcfg, "path", str), schema)
-    if kind == "toy_cubic":
-        return lk.gen_toy_cubic(seed, n=_read("dataset", dcfg, "n", int, 20, low=1))
-    if kind == "synthetic_probit":
-        return lk.gen_synthetic_probit(
-            seed, n=_read("dataset", dcfg, "n", int, 200, low=1),
-            d=_read("dataset", dcfg, "d", int, 4, low=1))
-    return lk.gen_three_class(seed, n=_read("dataset", dcfg, "n", int, 120, low=1))
+    keys = {k: v for k, v in dcfg.items() if k != "kind"}
+    return _DATASETS[kind](**lk.read_keys("dataset", _DATASETS[kind], keys))
 
 
 def _build_model(mcfg, data):
-    """The model of the `model` section for the Dataset `data`, each key read
-    with the type its kind gives it (counts >= 1); `make_model` rejects keys
-    the kind lacks, and a kind that serves another task is rejected here."""
-    kind = _read("model", mcfg, "kind", str)
-    kw = {k: v for k, v in mcfg.items() if k != "kind"}
-    for key, key_kind in lk.MODEL_KEYS.get(kind, {}).items():
-        if key in kw:
-            kw[key] = _read("model", kw, key, key_kind,
-                            low=1 if key_kind is int else None)
-    model = lk.make_model(kind, data.d, **kw)
+    """The model of the `model` section for the Dataset `data`; a kind that
+    serves another task is rejected."""
+    if "kind" not in mcfg:
+        raise ConfigError("missing required key model.kind")
+    kind = lk.read_value("model", "kind", str, mcfg["kind"])
+    model = lk.make_model(kind, data.d, **{str(k): v for k, v in mcfg.items()
+                                           if k != "kind"})
     if model.task != data.task:
         raise ConfigError("model kind %s serves %s data, not %s data"
                           % (kind, model.task, data.task))
     return model
 
 
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """The keys of the `experiment` section."""
+
+    n_splits: int = 1
+    seed: int = 0
+    workers: int = 1
+    output_dir: str = "."
+    train_fraction: float = 0.9
+    metrics_k: int = 100
+
+
 def _train_config(tcfg):
-    kinds = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    _known("train", tcfg, kinds)
-    return TrainConfig(**{k: _read("train", tcfg, k, kinds[k]) for k in tcfg})
+    # TrainConfig.validate bounds its counts, with its own message
+    return TrainConfig(**lk.read_keys("train", TrainConfig, tcfg, counts=False))
 
 
 def _run_split(args):
-    (split_idx, cfg, seed) = args
+    (split_idx, cfg, ex) = args
     dataset = _build_dataset(_section(cfg, "dataset"))
-    ex = _section(cfg, "experiment")
-    frac = _read("experiment", ex, "train_fraction", float, 0.9)
-    metrics_k = _read("experiment", ex, "metrics_k", int, 100, low=1)
+    frac, seed = ex.train_fraction, ex.seed
     n_train = int(round(frac * dataset.n)) if 0.0 < frac < 1.0 else 0
     if not 0 < n_train < dataset.n:
         raise ConfigError("experiment train_fraction %r leaves an empty split "
@@ -214,11 +169,11 @@ def _run_split(args):
     X, y = te.features, te.targets
     if te.task in ("probit", "classification"):
         if te.task == "probit":
-            probs = predict.predict_probit(q, model, X, metrics_k, pred_seed)
+            probs = predict.predict_probit(q, model, X, ex.metrics_k, pred_seed)
             labels = (y > 0).astype(int)         # column 1 holds P(y=+1)
             hits = (probs[:, 1] >= 0.5) == (y > 0)
         else:
-            probs = predict.predict_class(q, model, X, metrics_k, pred_seed)
+            probs = predict.predict_class(q, model, X, ex.metrics_k, pred_seed)
             labels = y.astype(int)
             hits = np.argmax(probs, axis=1) == labels
         lls = np.log(np.maximum(probs[np.arange(te.n), labels], 1e-300))
@@ -226,10 +181,10 @@ def _run_split(args):
     else:
         y_raw = y * te.y_std + te.y_mean
         lls = predict.predict_loglik_regression(
-            q, model, X, y_raw, metrics_k, pred_seed, log_sigma2=log_sigma2,
+            q, model, X, y_raw, ex.metrics_k, pred_seed, log_sigma2=log_sigma2,
             y_mean=te.y_mean, y_std=te.y_std)
         mean, _ = predict.predictive_regression_stats(
-            q, model, X, metrics_k, pred_seed, log_sigma2=log_sigma2)
+            q, model, X, ex.metrics_k, pred_seed, log_sigma2=log_sigma2)
         err = float(np.sqrt(np.mean((mean * te.y_std + te.y_mean - y_raw) ** 2)))
     avg_ll = float(np.mean(lls))
     return {"split": split_idx, "test_ll": avg_ll, "test_error": err,
@@ -242,18 +197,15 @@ def cmd_train(config_path, out_dir=None):
     import pathlib
 
     cfg = _load_config(config_path)
-    ex = _section(cfg, "experiment")
-    _known("experiment", ex, ("n_splits", "seed", "workers", "output_dir",
-                              "train_fraction", "metrics_k"))
-    n_splits = _read("experiment", ex, "n_splits", int, 1, low=1)
-    seed = _read("experiment", ex, "seed", int, 0, low=0)
+    ex = Experiment(**lk.read_keys("experiment", Experiment,
+                                   _section(cfg, "experiment")))
     # never more processes than splits: one split runs in this process
-    workers = min(_read("experiment", ex, "workers", int, 1, low=1), n_splits)
-    out = pathlib.Path(out_dir or _read("experiment", ex, "output_dir", str, "."))
+    workers = min(ex.workers, ex.n_splits)
+    out = pathlib.Path(out_dir or ex.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    jobs = [(i, cfg, seed) for i in range(n_splits)]
+    jobs = [(i, cfg, ex) for i in range(ex.n_splits)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -269,8 +221,8 @@ def cmd_train(config_path, out_dir=None):
     fields = ("split", "test_ll", "test_error", "final_energy")
     report = {
         "config": {k: v for k, v in cfg.items()},
-        "seed": seed,
-        "n_splits": n_splits,
+        "seed": ex.seed,
+        "n_splits": ex.n_splits,
         "splits": [{k: r[k] for k in fields} for r in results],
         "avg_test_ll": float(lls.mean()),
         "se_test_ll": se(lls),
@@ -323,23 +275,13 @@ def train_cmd(config_path, out_dir):
 def bias_cmd(config_path, out):
     """Gradient bias/variance study; one CSV row per (alpha, K) cell."""
     cfg = _load_config(config_path)
-    b = _section(cfg, "bias")
-    _known("bias", b, ("alphas", "ks", "n_minibatches", "n_repeats", "k_truth",
-                       "batch_size", "seed"))
+    kw = lk.read_keys("bias", gradient_bias_study, _section(cfg, "bias"))
     dataset = _build_dataset(_section(cfg, "dataset"))
     model = _build_model(_section(cfg, "model"), dataset)
     tconf = _train_config(_section(cfg, "train"))
     q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
-    report = gradient_bias_study(
-        model, dataset, q, default_prior(model.theta_dim),
-        alphas=_read("bias", b, "alphas", float, [1.0, 0.5]),
-        ks=_read("bias", b, "ks", int, [1, 5, 10]),
-        n_minibatches=_read("bias", b, "n_minibatches", int, 15),
-        n_repeats=_read("bias", b, "n_repeats", int, 1000),
-        k_truth=_read("bias", b, "k_truth", int, 10000),
-        batch_size=_read("bias", b, "batch_size", int, 32),
-        seed=_read("bias", b, "seed", int, 0, low=0),
-        hyper=hypers.get("log_sigma2"))
+    report = gradient_bias_study(model, dataset, q, default_prior(model.theta_dim),
+                                 hyper=hypers.get("log_sigma2"), **kw)
     report.to_csv(out)
     ks = sorted({r.k for r in report.rows})
     ok = all(report.cell(a, ks[i]).bias_net >= report.cell(a, ks[i + 1]).bias_net

@@ -50,14 +50,17 @@ class BiasReport:
 
 # the cells repeat evaluations of a few shapes: a pool lends their arrays
 @ad.reuse_buffers()
-def gradient_bias_study(model, data, q, prior, alphas, ks, n_minibatches=15,
-                        n_repeats=1000, k_truth=10000, batch_size=32, seed=0,
+def gradient_bias_study(model, data, q, prior, alphas: list[float] = (1.0, 0.5),
+                        ks: list[int] = (1, 5, 10), n_minibatches: int = 15,
+                        n_repeats: int = 1000, k_truth: int = 10000,
+                        batch_size: int = 32, seed: int = 0,
                         hyper=None) -> BiasReport:
     """Bias (L2 norm / sqrt(dim)) and spread of the MC energy gradient.
 
     `q` should be a pre-trained posterior.  Minibatch membership and all
     epsilon draws are fixed across (K, alpha) cells so columns are
-    comparable.
+    comparable.  Its annotated parameters are the keys of the CLI's `bias`
+    section.
     """
     if min(min(ks, default=0), n_minibatches, n_repeats, k_truth, batch_size) < 1:
         raise ConfigError("ks (non-empty), n_minibatches, n_repeats, k_truth "

@@ -1,4 +1,4 @@
-"""Likelihood factors, datasets and data generators.
+"""Likelihood factors, datasets, data generators and the config reader.
 
 All log-likelihood code is written against the autodiff primitives, so the
 same function evaluates on plain numpy arrays or differentiably on tape
@@ -12,6 +12,7 @@ log-likelihood is one `linreg` node; in the MC energy these sit between the
 """
 
 import csv
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ class LinearRegression:
     kind = "linreg"
     task = "regression"
 
-    def __init__(self, n_features, sigma2):
+    def __init__(self, n_features, sigma2: float = 1.0):
         if sigma2 <= 0:
             raise NonPositiveNoise("sigma2 = %g" % sigma2)
         self.theta_dim = n_features
@@ -204,7 +205,7 @@ class MLPRegression:
     kind = "mlp_regression"
     task = "regression"
 
-    def __init__(self, n_features, n_hidden, log_sigma2=0.0):
+    def __init__(self, n_features, n_hidden: int = 100, log_sigma2: float = 0.0):
         self.d_in = n_features
         self.n_hidden = n_hidden
         self.theta_dim = n_hidden * n_features + n_hidden + n_hidden + 1
@@ -244,6 +245,13 @@ class MLPClassification:
         self.layer_dims = [(n_hidden1, n_features), (n_hidden2, n_hidden1),
                            (n_classes, n_hidden2)]
 
+    @classmethod
+    def from_config(cls, n_features, n_classes: int, n_hidden1: int = 50,
+                    n_hidden2: int = 50):
+        """The `mlp_classification` config kind.  `n_classes`, the one key
+        without a default, comes first here; the constructor keeps its order."""
+        return cls(n_features, n_hidden1, n_hidden2, n_classes)
+
     def batch_forward(self, Theta, X):
         """Class logits for each sample row of Theta; returns (K, C, B)."""
         return mlp(Theta, X, self.layer_dims)
@@ -257,38 +265,72 @@ class MLPClassification:
         return picked - ad.logsumexp(A, axis=1)
 
 
-# the keys each model kind takes, with their types; int keys are counts
-MODEL_KEYS = {"probit": {}, "linreg": {"sigma2": float},
-              "mlp_regression": {"n_hidden": int, "log_sigma2": float},
-              "mlp_classification": {"n_hidden1": int, "n_hidden2": int,
-                                     "n_classes": int}}
+# the callable that takes each model kind's keys
+MODELS = {"probit": ProbitRegression, "linreg": LinearRegression,
+          "mlp_regression": MLPRegression,
+          "mlp_classification": MLPClassification.from_config}
 
 
 def make_model(kind, n_features, **kw):
-    if kind not in MODEL_KEYS:
+    """The model of `kind` on `n_features` inputs, with the config keys `kw`."""
+    if kind not in MODELS:
         raise ConfigError("unknown model kind %r" % kind)
-    unknown = sorted(str(k) for k in kw if k not in MODEL_KEYS[kind])
+    return MODELS[kind](n_features, **read_keys("model", MODELS[kind], kw, kind))
+
+
+def config_keys(fn):
+    """The config keys of the callable `fn`, its annotated parameters: the
+    annotation is a key's type, and a key without a default is required."""
+    return {k: p for k, p in inspect.signature(fn).parameters.items()
+            if p.annotation is not p.empty}
+
+
+def read_keys(section, fn, cfg, kind=None, counts=True):
+    """The keyword arguments for `fn` from the mapping `cfg` of its config
+    keys; the messages name the section, and the kind when one is given."""
+    keys = config_keys(fn)
+    of = " for " + kind if kind else ""
+    unknown = sorted(str(k) for k in cfg if k not in keys)
     if unknown:
-        raise ConfigError("unknown model key(s) for %s: %s"
-                          % (kind, ", ".join(unknown)))
-    if kind == "probit":
-        return ProbitRegression(n_features)
-    if kind == "linreg":
-        return LinearRegression(n_features, kw.get("sigma2", 1.0))
-    if kind == "mlp_regression":
-        return MLPRegression(n_features, kw.get("n_hidden", 100),
-                             kw.get("log_sigma2", 0.0))
-    if "n_classes" not in kw:
-        raise ConfigError("missing required key model.n_classes for "
-                          "mlp_classification")
-    return MLPClassification(n_features, kw.get("n_hidden1", 50),
-                             kw.get("n_hidden2", 50), kw["n_classes"])
+        raise ConfigError("unknown %s key(s)%s: %s" % (section, of, ", ".join(unknown)))
+    for key, p in keys.items():
+        if p.default is p.empty and key not in cfg:
+            raise ConfigError("missing required key %s.%s%s" % (section, key, of))
+    return {k: read_value(section, k, keys[k].annotation, v, counts)
+            for k, v in cfg.items()}
+
+
+def read_value(section, key, typ, value, counts=True):
+    """`value` of `section.key` as the type `typ`: a list[...] is a list of
+    its item type; numbers, and strings such as YAML's unquoted 1e-3, widen
+    to float; `object` (the train alpha) is a float or 'vb'.  A seed must
+    be >= 0 and, with `counts`, any other int >= 1."""
+    if getattr(typ, "__origin__", None) is list:
+        if not isinstance(value, list):
+            raise ConfigError("%s %s must be a list, not %r" % (section, key, value))
+        return [read_value(section, key, typ.__args__[0], v, counts) for v in value]
+    if typ is object and value == "vb":
+        return value
+    ok = isinstance(value, bool) == (typ is bool)
+    if ok and typ in (float, object):
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            ok = False
+    if not (ok and isinstance(value, typ)):
+        raise ConfigError("%s %s must be %s, not %r" % (
+            section, key, "a number or 'vb'" if typ is object else typ.__name__,
+            value))
+    low = 0 if key == "seed" else 1 if typ is int and counts else None
+    if low is not None and not value >= low:
+        raise ConfigError("%s %s must be >= %s, not %r" % (section, key, low, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
 # generators
 
-def gen_toy_cubic(seed, n=20):
+def gen_toy_cubic(seed: int = 0, n: int = 20):
     """n inputs uniform on [-4, 4]; y = x^3 + noise with variance 9."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-4.0, 4.0, size=n)
@@ -296,7 +338,7 @@ def gen_toy_cubic(seed, n=20):
     return Dataset(x[:, None], y, name="toy_cubic", task="regression")
 
 
-def gen_synthetic_probit(seed, n=200, d=4):
+def gen_synthetic_probit(seed: int = 0, n: int = 200, d: int = 4):
     """Probit-noise labels in {-1, +1} from N(0, 1.5^2) linear weights."""
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.5, size=d)
@@ -306,15 +348,15 @@ def gen_synthetic_probit(seed, n=200, d=4):
     return Dataset(X, y, name="synthetic_probit", task="probit")
 
 
-def gen_three_class(seed, n=120):
-    """Three 2-D Gaussian blobs around the corners of a triangle."""
+def gen_three_class(seed: int = 0, n: int = 120):
+    """n points in three 2-D Gaussian blobs around a triangle's corners."""
     rng = np.random.default_rng(seed)
     centers = 2.5 * np.array([[1.0, 0.0], [-0.5, 0.9], [-0.5, -0.9]])
-    per = n // 3
     X, y = [], []
     for c in range(3):
-        X.append(centers[c] + rng.normal(size=(per, 2)))
-        y.append(np.full(per, c))
+        size = n // 3 + (c < n % 3)     # the first n % 3 classes hold one more
+        X.append(centers[c] + rng.normal(size=(size, 2)))
+        y.append(np.full(size, c))
     return Dataset(np.vstack(X), np.concatenate(y),
                    name="three_class", task="classification")
 
@@ -383,3 +425,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     elif schema.task == "classification":
         y = y.astype(int)
     return Dataset(X, y, name=str(path), task=schema.task)
+
+
+def csv_dataset(path: str, target: str, task: str = CsvSchema.task,
+                feature_columns: list[str] = CsvSchema.feature_columns):
+    """The `csv` dataset kind: `load_csv` with the schema's fields as keys."""
+    return load_csv(path, CsvSchema(target, task, feature_columns))

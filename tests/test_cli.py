@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import copy
-import dataclasses
 import hashlib
 import json
 import os
@@ -712,12 +711,12 @@ _BASES = [("toy_cubic", "linreg"), ("toy_cubic", "mlp_regression"),
 
 
 def _keys(dataset, model):
-    """The (section, key) pairs that a config of these kinds reads."""
-    return ([("dataset", k) for k in ("kind", *cli._DATASET_KEYS[dataset])]
-            + [("model", k) for k in ("kind", *lk.MODEL_KEYS[model])]
-            + [("train", f.name) for f in dataclasses.fields(TrainConfig)]
-            + [("experiment", k) for k in ("n_splits", "seed", "train_fraction",
-                                           "metrics_k")])
+    """The (section, key) pairs that a config of these kinds reads, from the
+    callables that take them."""
+    return ([("dataset", k) for k in ("kind", *lk.config_keys(cli._DATASETS[dataset]))]
+            + [("model", k) for k in ("kind", *lk.config_keys(lk.MODELS[model]))]
+            + [("train", k) for k in lk.config_keys(TrainConfig)]
+            + [("experiment", k) for k in lk.config_keys(cli.Experiment)])
 
 
 # every key some kind reads, most of them unknown to any one config
