@@ -92,12 +92,15 @@ def _section(cfg, name):
 
 
 def _floats(option, text):
-    """A comma-separated list of numbers given on the command line."""
+    """A comma-separated list of finite numbers given on the command line."""
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError("%s must be comma-separated numbers, not %r"
                           % (option, text)) from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("%s must be finite, not %r" % (option, text))
+    return values
 
 
 # the callable that takes each dataset kind's keys
@@ -115,8 +118,7 @@ def _build_dataset(dcfg):
 
 
 def _build_model(mcfg, data):
-    """The model of the `model` section for the Dataset `data`; a kind that
-    serves another task is rejected."""
+    """The model of the `model` section, which must serve `data`'s task."""
     if "kind" not in mcfg:
         raise ConfigError("missing required key model.kind")
     kind = lk.read_value("model", "kind", str, mcfg["kind"])
@@ -140,11 +142,6 @@ class Experiment:
     metrics_k: int = 100
 
 
-def _train_config(tcfg):
-    # TrainConfig.validate bounds its counts, with its own message
-    return TrainConfig(**lk.read_keys("train", TrainConfig, tcfg, counts=False))
-
-
 def _run_split(args):
     (split_idx, cfg, ex) = args
     dataset = _build_dataset(_section(cfg, "dataset"))
@@ -160,7 +157,8 @@ def _run_split(args):
     tr, te = lk.standardize_train_test(tr, te)
 
     model = _build_model(_section(cfg, "model"), tr)
-    tconf = _train_config(_section(cfg, "train"))
+    tconf = TrainConfig(**lk.read_keys("train", TrainConfig, _section(cfg, "train"),
+                                       counts=False))
     tconf.seed = int(np.random.default_rng([seed, split_idx, 7]).integers(2 ** 31))
     q, hypers, trace = train(model, tr, default_prior(model.theta_dim), tconf)
 
@@ -278,7 +276,8 @@ def bias_cmd(config_path, out):
     kw = lk.read_keys("bias", gradient_bias_study, _section(cfg, "bias"))
     dataset = _build_dataset(_section(cfg, "dataset"))
     model = _build_model(_section(cfg, "model"), dataset)
-    tconf = _train_config(_section(cfg, "train"))
+    tconf = TrainConfig(**lk.read_keys("train", TrainConfig, _section(cfg, "train"),
+                                       counts=False))
     q, hypers, _ = train(model, dataset, default_prior(model.theta_dim), tconf)
     report = gradient_bias_study(model, dataset, q, default_prior(model.theta_dim),
                                  hyper=hypers.get("log_sigma2"), **kw)
@@ -341,7 +340,7 @@ def run_toy_predictive(alphas, seed, epochs=600, k_samples=50, n_hidden=100,
 
 @main.command("toy-predictive")
 @click.option("--alphas", default="1e-6,0.5,1.0", help="Comma-separated list.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--epochs", type=int, default=600)
 @click.option("--out", default="toy_predictive.csv")
 def toy_predictive_cmd(alphas, seed, epochs, out):
@@ -354,7 +353,7 @@ def toy_predictive_cmd(alphas, seed, epochs, out):
 
 
 @main.command("gen-toy")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", default="toy_cubic.csv")
 def gen_toy_cmd(seed, out):
     """Write the cubic toy dataset as CSV."""
@@ -374,6 +373,9 @@ def gen_toy_cmd(seed, out):
 @click.option("--out", default="divergence.csv")
 def divergence_cmd(mu1, var1, mu2, var2, alpha_min, alpha_max, steps, out):
     """Tabulate D_alpha between two diagonal Gaussians over an alpha grid."""
+    if not np.isfinite(alpha_max - alpha_min):      # NaN fails too
+        raise ConfigError("--alpha-min %r to --alpha-max %r is not a finite grid"
+                          % (alpha_min, alpha_max))
     p = oracle.GaussianDist(_floats("--mu1", mu1), np.diag(_floats("--var1", var1)))
     q = oracle.GaussianDist(_floats("--mu2", mu2), np.diag(_floats("--var2", var2)))
     rows = []

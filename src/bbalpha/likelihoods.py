@@ -248,8 +248,7 @@ class MLPClassification:
     @classmethod
     def from_config(cls, n_features, n_classes: int, n_hidden1: int = 50,
                     n_hidden2: int = 50):
-        """The `mlp_classification` config kind.  `n_classes`, the one key
-        without a default, comes first here; the constructor keeps its order."""
+        """The `mlp_classification` config kind: `n_classes` has no default."""
         return cls(n_features, n_hidden1, n_hidden2, n_classes)
 
     def batch_forward(self, Theta, X):
@@ -304,7 +303,8 @@ def read_value(section, key, typ, value, counts=True):
     """`value` of `section.key` as the type `typ`: a list[...] is a list of
     its item type; numbers, and strings such as YAML's unquoted 1e-3, widen
     to float; `object` (the train alpha) is a float or 'vb'.  A seed must
-    be >= 0 and, with `counts`, any other int >= 1."""
+    be >= 0 and, with `counts`, any other int >= 1: `train` reads without,
+    since TrainConfig.validate bounds its counts with its own message."""
     if getattr(typ, "__origin__", None) is list:
         if not isinstance(value, list):
             raise ConfigError("%s %s must be a list, not %r" % (section, key, value))

@@ -42,48 +42,52 @@ class GaussianDist:
         return self.mu.size
 
 
-def _log_partition_hp(h, prec):
-    """log int exp(h.theta - theta.P.theta/2) for precision matrix P."""
-    sign, logdet = np.linalg.slogdet(prec)
-    if sign <= 0:
-        raise ImproperTilted("precision not positive definite")
-    sol = np.linalg.solve(prec, h)
-    return 0.5 * h @ sol + 0.5 * h.size * _LOG_2PI - 0.5 * logdet
+def _quad(a, b, prec):
+    """(a - b)' prec (a - b), with a and b scaled by a power of two so that
+    their difference cannot overflow: the plain product's bits where it is
+    finite, and inf, not NaN, where it overflows."""
+    e = np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    d = np.ldexp(a, -e) - np.ldexp(b, -e)
+    return np.ldexp(d @ prec @ d, 2 * e)
 
 
 def kl_divergence(p: GaussianDist, q: GaussianDist) -> float:
     """KL[p||q] = E_p[log p - log q], closed form."""
-    d = p.dim
     cov_q_inv = np.linalg.inv(q.cov)
-    dm = q.mu - p.mu
     _, ld_p = np.linalg.slogdet(p.cov)
     _, ld_q = np.linalg.slogdet(q.cov)
-    return float(0.5 * (np.trace(cov_q_inv @ p.cov) + dm @ cov_q_inv @ dm
-                        - d + ld_q - ld_p))
+    return float(0.5 * (np.trace(cov_q_inv @ p.cov) + _quad(q.mu, p.mu, cov_q_inv)
+                        - p.dim + ld_q - ld_p))
 
 
 def alpha_divergence(p: GaussianDist, q: GaussianDist, alpha) -> float:
-    """D_alpha[p||q] = (1 - int p^a q^(1-a)) / (a (1-a)) for Gaussians.
+    """D_alpha[p||q] = (1 - int p^a q^(1-a)) / (a (1-a)) for Gaussians, where
+    2 log int p^a q^(1-a) = a log|P_p| + (1-a) log|P_q| - log|P_a|
+    - a (1-a) dm' P_p P_a^-1 P_q dm for precisions P and P_a = a P_p + (1-a) P_q.
 
     alpha = 1 and alpha = 0 dispatch to the KL limits.  Raises
-    UndefinedDivergence when the blended precision is not positive definite
-    (the divergence is +infinity).
+    UndefinedDivergence when P_a is not positive definite (the divergence is
+    +infinity).  A value beyond the float range is inf, and one that is not
+    a number there, such as at a precision beyond it, raises DomainError.
     """
-    if alpha == 1.0:
-        return kl_divergence(p, q)
-    if alpha == 0.0:
-        return kl_divergence(q, p)
-    prec_p = np.linalg.inv(p.cov)
-    prec_q = np.linalg.inv(q.cov)
-    h_p, h_q = prec_p @ p.mu, prec_q @ q.mu
-    blend_prec = alpha * prec_p + (1 - alpha) * prec_q
-    if np.any(np.linalg.eigvalsh(blend_prec) <= 0.0):
-        raise UndefinedDivergence("blend precision not PD at alpha=%g" % alpha)
-    blend_h = alpha * h_p + (1 - alpha) * h_q
-    log_int = (_log_partition_hp(blend_h, blend_prec)
-               - alpha * _log_partition_hp(h_p, prec_p)
-               - (1 - alpha) * _log_partition_hp(h_q, prec_q))
-    return float((1.0 - np.exp(log_int)) / (alpha * (1.0 - alpha)))
+    with np.errstate(all="ignore"):         # NaN is caught below
+        if alpha in (0.0, 1.0):
+            value = kl_divergence(p, q) if alpha == 1.0 else kl_divergence(q, p)
+        else:
+            prec_p, prec_q = np.linalg.inv(p.cov), np.linalg.inv(q.cov)
+            blend_prec = alpha * prec_p + (1 - alpha) * prec_q
+            if np.any(np.linalg.eigvalsh(blend_prec) <= 0.0):
+                raise UndefinedDivergence("blend precision not PD at alpha=%g" % alpha)
+            spread = _quad(p.mu, q.mu, prec_p @ np.linalg.solve(blend_prec, prec_q))
+            log_int = 0.5 * (alpha * np.linalg.slogdet(prec_p)[1]
+                             + (1 - alpha) * np.linalg.slogdet(prec_q)[1]
+                             - np.linalg.slogdet(blend_prec)[1]
+                             - alpha * (1 - alpha) * spread)
+            value = (1.0 - np.exp(log_int)) / (alpha * (1.0 - alpha))
+    if np.isnan(value):
+        raise DomainError("D_alpha at alpha=%g is not a number in floating point"
+                          % alpha)
+    return float(value)
 
 
 def true_posterior_linreg(X, y, sigma2) -> GaussianDist:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from bbalpha import cli
 from bbalpha import likelihoods as lk
+from bbalpha.diagnostics import gradient_bias_study
 from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import TrainConfig
 
@@ -87,6 +88,23 @@ def test_divergence_table(runner, tmp_path):
     assert len(lines) == 8
     vals = [line.split(",")[1] for line in lines[1:]]
     assert all(v == "inf" or float(v) >= 0.0 for v in vals)
+
+
+# a value beyond the float range is inf; one below it, such as the
+# Hellinger-type limit 1 / (alpha (1 - alpha)) = 4 at alpha 0.5, is finite
+@pytest.mark.parametrize("argv, column", [
+    (["--mu1", "1e308", "--mu2", "-1e308"], ["inf", "4", "inf"]),
+    (["--mu1", "1e308", "--mu2", "1e308"], ["-0", "0", "-0"]),
+    (["--mu1", "1e308,0", "--mu2", "-1e308,0", "--var1", "1,1", "--var2", "1,1",
+      "--alpha-min", "0", "--alpha-max", "1"], ["inf", "4", "inf"]),
+], ids=["means_apart", "means_equal", "kl_limits"])
+def test_divergence_at_the_float_range_writes_no_nan(runner, tmp_path, argv, column):
+    out = tmp_path / "div.csv"
+    result = runner.invoke(cli.main, ["divergence", *argv, "--steps", "3",
+                                      "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text(encoding="utf-8").strip().splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == column
 
 
 # sha256 of each CSV the commands write, so that a change to the writer
@@ -627,6 +645,19 @@ _NO_FILE = "No such file or directory"
      "unknown dataset key(s): d"),
     (["train", "{cfg}"], {"dataset": {"kind": "toy_cubic", "path": "x.csv"}}, 2,
      "unknown dataset key(s): path"),
+    (["bias", "{cfg}", "--out", "{tmp}/b.csv"], {"train": {"seed": -1}}, 2,
+     "train seed must be >= 0, not -1"),
+    (["train", "{cfg}"], {"model": {"kind": "probit", 1: 2}}, 2,
+     "unknown model key(s) for probit: 1"),
+    (["divergence", "--alpha-min", "nan", "--steps", "3", "--out", "{tmp}/d.csv"],
+     {}, 2, "--alpha-min nan to --alpha-max 2.0 is not a finite grid"),
+    (["divergence", "--alpha-min", "-1e308", "--alpha-max", "1e308", "--out",
+      "{tmp}/d.csv"], {}, 2, "--alpha-min -1e+308 to --alpha-max 1e+308 is not"),
+    (["divergence", "--mu2", "0,inf", "--var2", "1,1", "--out", "{tmp}/d.csv"], {},
+     2, "--mu2 must be finite, not '0,inf'"),
+    # p's precision, 1e320, is beyond the float range
+    (["divergence", "--var1", "1e-320", "--steps", "3", "--out", "{tmp}/d.csv"], {},
+     2, "D_alpha at alpha=0.5 is not a number in floating point"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -640,7 +671,9 @@ _NO_FILE = "No such file or directory"
         "bias_key_typo", "adam_beta1_unknown", "sgd_update_overflows",
         "init_std_negative", "exact_closed_form_overflows", "site_exp_overflows",
         "linreg_node_overflows", "bias_probit_data_linreg",
-        "three_class_reads_no_d", "toy_cubic_reads_no_path"])
+        "three_class_reads_no_d", "toy_cubic_reads_no_path", "bias_train_seed_negative",
+        "model_key_not_a_string", "divergence_alpha_min_nan",
+        "divergence_grid_overflows", "divergence_mu_inf", "divergence_var_tiny"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)
@@ -678,6 +711,15 @@ def test_steps_below_1_is_a_usage_error(runner, tmp_path, command, steps):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-toy", "toy-predictive"])
+def test_seed_below_0_is_a_usage_error(runner, tmp_path, command):
+    result = runner.invoke(cli.main, [command, "--seed", "-1",
+                                      "--out", str(tmp_path / "t.csv")])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--seed'" in result.stderr
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("dataset, needle", [
     ({"task": "regresion"}, "unknown task 'regresion'"),
     ({"feature_columns": "x1"}, "dataset feature_columns must be a list, not 'x1'"),
@@ -710,13 +752,36 @@ _BASES = [("toy_cubic", "linreg"), ("toy_cubic", "mlp_regression"),
           ("synthetic_probit", "probit"), ("three_class", "mlp_classification")]
 
 
+def _table():
+    """(section, kind, key, type, default) for every config key, read from the
+    callables that take them; a section without kinds has kind '-'."""
+    owners = ([("dataset", k, f) for k, f in cli._DATASETS.items()]
+              + [("model", k, f) for k, f in lk.MODELS.items()]
+              + [("train", "-", TrainConfig), ("experiment", "-", cli.Experiment),
+                 ("bias", "-", gradient_bias_study)])
+    for section, kind, fn in owners:
+        for key, p in lk.config_keys(fn).items():
+            t = p.annotation
+            name = ("number or 'vb'" if t is object
+                    else str(t) if hasattr(t, "__origin__") else t.__name__)
+            default = "required" if p.default is p.empty else repr(p.default)
+            yield section, kind, key, name, default
+
+
+def test_readme_lists_every_config_key_with_its_type_and_default():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [tuple(c.strip() for c in line.strip().strip("|").split("|"))
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| ") and line.split("|")[1].strip()
+            in ("dataset", "model", "train", "experiment", "bias")]
+    assert rows == list(_table())
+
+
 def _keys(dataset, model):
-    """The (section, key) pairs that a config of these kinds reads, from the
-    callables that take them."""
-    return ([("dataset", k) for k in ("kind", *lk.config_keys(cli._DATASETS[dataset]))]
-            + [("model", k) for k in ("kind", *lk.config_keys(lk.MODELS[model]))]
-            + [("train", k) for k in lk.config_keys(TrainConfig)]
-            + [("experiment", k) for k in lk.config_keys(cli.Experiment)])
+    """The (section, key) pairs that a config of these kinds reads."""
+    return ([("dataset", "kind"), ("model", "kind")]
+            + [(section, key) for section, kind, key, _, _ in _table()
+               if kind in (dataset, model) or section in ("train", "experiment")])
 
 
 # every key some kind reads, most of them unknown to any one config

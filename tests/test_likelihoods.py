@@ -131,6 +131,14 @@ def test_gen_three_class_labels():
     assert set(np.unique(data.targets)) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("n, sizes", [(1, [1, 0, 0]), (2, [1, 1, 0]),
+                                      (100, [34, 33, 33]), (120, [40, 40, 40])])
+def test_gen_three_class_has_n_rows(n, sizes):
+    data = lk.gen_three_class(0, n=n)
+    assert data.n == n
+    assert np.bincount(data.targets, minlength=3).tolist() == sizes
+
+
 def test_dataset_shape_check():
     with pytest.raises(ShapeMismatch):
         lk.Dataset(np.zeros((3, 2)), np.zeros(4))
