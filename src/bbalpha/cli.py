@@ -123,7 +123,7 @@ def _build_model(mcfg, data):
         raise ConfigError("missing required key model.kind")
     kind = lk.read_value("model", "kind", str, mcfg["kind"])
     model = lk.make_model(kind, data.d, **{str(k): v for k, v in mcfg.items()
-                                           if k != "kind"})
+                                           if k != "kind"})  # a YAML key may be an int
     if model.task != data.task:
         raise ConfigError("model kind %s serves %s data, not %s data"
                           % (kind, model.task, data.task))

@@ -285,8 +285,8 @@ def config_keys(fn):
 
 
 def read_keys(section, fn, cfg, kind=None, counts=True):
-    """The keyword arguments for `fn` from the mapping `cfg` of its config
-    keys; the messages name the section, and the kind when one is given."""
+    """The keyword arguments for `fn` from the mapping `cfg`; a key `fn` does
+    not take, or a required key `cfg` lacks, raises ConfigError (naming `kind`)."""
     keys = config_keys(fn)
     of = " for " + kind if kind else ""
     unknown = sorted(str(k) for k in cfg if k not in keys)
