@@ -18,9 +18,11 @@ returns or raises, and the next evaluation writes into the same memory.  The
 value and the gradients the call returns are still fresh.  Outside such a
 call, :func:`empty` is ``np.empty``.
 
-A node's value is valid until its own VJP runs: the VJPs of its consumers,
-its only readers, run before it, so a VJP may write into its node's buffer.
-:func:`value_and_grad` reads the root's value before the backward pass.
+A buffer is reused once its last reader is done.  A node's value is valid
+until its own VJP runs, after its consumers' (its only readers), so that
+VJP may write into it; a node that owns its value and whose VJP does not read
+it may lend it to its one consumer, as the log-likelihood node does to
+`alpha_energy`.  `value_and_grad` reads the root's value before any VJP.
 """
 
 import math

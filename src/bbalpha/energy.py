@@ -9,7 +9,7 @@ The MC estimator has an eps-free site step (`_site`: the tied site, the
 cavity test, logZ0 - logZq) and a per-block step: a `reparam` node for the
 K samples, the model's log-likelihood (the samples' one consumer), and one
 `alpha_energy` node holding the rest of the diagonal-Gaussian arithmetic,
-in place on arrays it allocates, and its closed-form gradient.
+in place on its own arrays and loglik's, and its closed-form gradient.
 `SlotLayout` is the one definition of the slot vector w that every
 evaluation takes its leaves from; its `mc_estimates` takes one site step for
 all the eps blocks of one (w, minibatch, alpha), and the public
@@ -84,7 +84,7 @@ def _reparam(mu, log_var, eps, sd, ones):
     theta += ad._val(mu)
     return ad.node(theta, "reparam", (mu, lambda g: ones.dot(g)),
                    (log_var, lambda g: ones.dot(np.multiply(
-                       g, eps, out=ad.empty(g.shape))) * sd * 0.5))
+                       g, eps, out=theta)) * sd * 0.5))    # its readers ran
 
 
 def _site(m, lv, pm, plv, n_data, alpha):
@@ -118,15 +118,17 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     hold theta's own term c_k (l1 + 2 theta_k l2), which reaches mu and
     log_var through theta = mu + sd eps, so theta gets no gradient here.
     alpha=None is the VB energy, the same node with w = 1/K.  An improper
-    cavity raises ImproperCavity here, inside the evaluation.
+    cavity raises ImproperCavity here, inside the evaluation.  delta, w and
+    dE/dloglik are formed in loglik's value, the one array outside its own
+    allocations that the node writes (`bbalpha.autodiff`).
     """
     improper, l1, l2, value, sd, dm, sd_sd2, iv0_half = site
     if improper:
         raise ImproperCavity("cavity eta2 >= 0 at alpha=%g" % alpha)
-    th, ll = ad._val(theta), ad._val(loglik)
-    K, B = ll.shape
+    th, w = ad._val(theta), ad._val(loglik)
+    K, B = w.shape
     th2 = np.multiply(th, th, out=ad.empty(th.shape))
-    w = np.subtract(ll, (th.dot(l1) + th2.dot(l2))[:, None], out=ad.empty(ll.shape))
+    w -= (th.dot(l1) + th2.dot(l2))[:, None]        # delta, in loglik's value
     if alpha is None:
         value -= (n_data / B) * (w.sum() / K)
         c = np.full(K, n_data / K)

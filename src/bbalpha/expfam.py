@@ -65,13 +65,3 @@ class FactorizedGaussian:
         iv = np.exp(-self.log_var)
         return NaturalParams(self.mu * iv, -0.5 * iv)
 
-
-def sample_reparam(q: FactorizedGaussian, eps):
-    """theta = mu + exp(log_var / 2) * eps; eps may be (dim,) or (K, dim)."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape[-1] != q.dim:
-        raise ShapeMismatch("eps %s vs dim %d" % (eps.shape, q.dim))
-    theta = np.exp(0.5 * q.log_var) * eps
-    theta += q.mu
-    return theta
-

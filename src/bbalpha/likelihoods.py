@@ -156,9 +156,9 @@ def mlp(Theta, X, layer_dims):
     (n_out, n_in) per layer; W and b are views of Theta.  Only the
     activations A are kept: A > 0 is exactly the rectifier's mask Z > 0.
     The VJP walks the layers backwards: dW = G A_prev^T, db = sum_b G, both
-    written into one (K, P) array, W^T G down a layer and G * (A_prev > 0)
-    through a rectifier (0 at a kink, as `relu` gives).  A plain-array Theta
-    gives a plain array.
+    written into one (K, P) array, W^T G down a layer, into A_prev's own
+    buffer, and G * (A_prev > 0) through a rectifier (0 at a kink, as `relu`
+    gives).  A plain-array Theta gives a plain array.
     """
     Tv = ad._val(Theta)
     K = Tv.shape[0]
@@ -186,10 +186,9 @@ def mlp(Theta, X, layer_dims):
                       out=dT[:, w_sl].reshape(W.shape))
             np.sum(G, axis=2, out=dT[:, b_sl])
             if i:
-                # a buffer of its own, masked in place; A_prev > 0 where Z > 0
-                G = np.matmul(np.swapaxes(W, -1, -2), G,
-                              out=ad.empty(A_prev.shape))
-                G *= A_prev > 0.0
+                mask = A_prev > 0.0     # A_prev's last read: W^T G goes there
+                G = np.matmul(np.swapaxes(W, -1, -2), G, out=A_prev)
+                G *= mask
         return dT
 
     return ad.node(A, "mlp", (Theta, vjp))

@@ -5,7 +5,7 @@ import pytest
 
 from bbalpha.errors import NonNormalizable, ShapeMismatch
 from bbalpha.energy import _prior_mv
-from bbalpha.expfam import FactorizedGaussian, NaturalParams, sample_reparam
+from bbalpha.expfam import FactorizedGaussian, NaturalParams
 from bbalpha.oracle import _diag_log_partition
 
 
@@ -42,21 +42,6 @@ def test_log_partition_is_additive_over_dims():
     ab = NaturalParams([0.3, -1.0], [-0.2, -0.7])
     logz = lambda n: _diag_log_partition(n.eta1, n.eta2)
     assert np.isclose(logz(ab), logz(a) + logz(b))
-
-
-def test_sample_reparam_matches_moments():
-    q = FactorizedGaussian([1.0, -2.0], [np.log(4.0), np.log(0.25)])
-    rng = np.random.default_rng(1)
-    eps = rng.standard_normal((200000, 2))
-    theta = sample_reparam(q, eps)
-    assert np.allclose(theta.mean(axis=0), q.mu, atol=0.02)
-    assert np.allclose(theta.std(axis=0), [2.0, 0.5], atol=0.02)
-
-
-def test_sample_reparam_shape_check():
-    q = FactorizedGaussian([0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ShapeMismatch):
-        sample_reparam(q, np.zeros((5, 3)))
 
 
 def test_factorized_gaussian_rejects_nonfinite():

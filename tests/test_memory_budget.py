@@ -7,7 +7,8 @@ three-class MLP: each evaluation allocates only the (K, .) arrays it keeps
 and a few transient ones.  The caller's draws and data are allocated
 before tracing starts, so they do not count.  Inside `ad.reuse_buffers` a
 second evaluation takes those arrays from the pool the first one filled.
-Prediction's samples are counted in (S, P) arrays: the draws and theta.
+Prediction's samples are counted in (S, P) arrays: theta is formed in the
+draws' own array.
 """
 
 import gc
@@ -24,8 +25,9 @@ from bbalpha.expfam import FactorizedGaussian
 from bbalpha.optim import default_prior
 
 # arrays of the problem's unit size: linreg keeps resid and the node's
-# value, whose buffer its VJP reuses, and w
-BUDGET = {"linreg": 3.5, "mlp_classification": 6.0}
+# value, in which alpha_energy forms w and the linreg VJP its scratch; the
+# reparam and mlp VJPs write into theta and into the hidden activations
+BUDGET = {"linreg": 2.5, "mlp_classification": 4.5}
 POOLED_BUDGET = 1.5   # the same, for an evaluation inside reuse_buffers
 
 
@@ -94,12 +96,12 @@ def test_a_pooled_evaluation_stays_within_budget(kind, alpha, monkeypatch):
     assert peak <= POOLED_BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
 
 
-def test_prediction_samples_stay_within_two_arrays():
-    # eps and theta, plus a few (P,) vectors: sigma * eps takes mu in place
+def test_prediction_samples_stay_within_one_array():
+    # theta in the draws' array, plus a few (P,) vectors
     model = lk.MLPClassification(2, 50, 50, 3)
     S, P = 100, model.theta_dim
     rng = np.random.default_rng(0)
     q = FactorizedGaussian(rng.normal(0.0, 0.3, size=P), np.full(P, -3.0))
     unit = S * P * 8
     peak = _peak_bytes(lambda: predict._theta_samples(q, S, 1))
-    assert peak <= 2.1 * unit, "peak %.2f unit arrays" % (peak / unit)
+    assert peak <= 1.1 * unit, "peak %.2f unit arrays" % (peak / unit)

@@ -1,7 +1,11 @@
 """In-place arithmetic never touches shared arrays.
 
 The energy's nodes compute in place, but only in arrays they allocate
-themselves: the caller's posterior, draws and data, and the incoming
+themselves and in one more: `alpha_energy` forms its weights and
+dE/dloglik in the log-likelihood array the model returns, the one array
+outside its own allocations that it writes.  So the model's last node owns
+that array and its VJP gives the same gradient whether or not its value was
+overwritten.  The caller's posterior, draws and data, and the incoming
 gradient of every hand-written VJP, stay as they were.
 """
 
@@ -122,3 +126,34 @@ def test_linreg_vjp_takes_read_only_g():
     out = model.batch_log_lik(_leaf(eps, ad.Tape()), X, y)
     _check_vjps(out, [_read_only(np.sin(np.arange(out.value.size))
                                  .reshape(out.shape))])
+
+
+@pytest.mark.parametrize("alpha", [0.5, None])
+@pytest.mark.parametrize("kind, learn_noise", [
+    ("probit", False), ("linreg", False), ("mlp_regression", False),
+    ("mlp_regression", True), ("mlp_classification", False)])
+def test_loglik_vjp_does_not_read_its_overwritten_value(kind, learn_noise,
+                                                        alpha):
+    model, q, eps, X, y, hyper = _problem(kind)
+    zeros = np.zeros(q.dim)
+    site = en._site(q.mu, q.log_var, zeros, zeros, 40, alpha)
+    ones = np.ones(len(eps))
+
+    def nodes():
+        tape = ad.Tape()
+        mu, lv = _leaf(q.mu, tape), _leaf(q.log_var, tape)
+        h = _leaf(hyper, tape) if learn_noise else None
+        theta = en._reparam(mu, lv, eps, site[4], ones)
+        return mu, lv, theta, model.batch_log_lik(theta, X, y, hyper=h)
+
+    def vjp_outputs(loglik, g):     # in the order the backward pass runs them
+        return [np.array(vjp(g)).tobytes() for _, vjp in loglik.parents]
+
+    mu, lv, theta, loglik = nodes()
+    out = en._alpha_energy(mu, lv, zeros, zeros, theta, loglik, 40, alpha,
+                           eps, site, ones)
+    g = next(vjp for v, vjp in out.parents if v is loglik)(ad._SEED)
+    # dE/dloglik is the node's own value, overwritten by the energy
+    assert g is loglik.value
+    clean = vjp_outputs(nodes()[3], g.copy())
+    assert vjp_outputs(loglik, g) == clean

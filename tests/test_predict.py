@@ -11,6 +11,22 @@ from bbalpha.expfam import FactorizedGaussian
 from reference_models import log_lik as ref_log_lik, output as ref_output
 
 
+def test_theta_samples_match_moments():
+    q = FactorizedGaussian([1.0, -2.0], [np.log(4.0), np.log(0.25)])
+    theta = predict._theta_samples(q, 200000, 1)
+    assert np.allclose(theta.mean(axis=0), q.mu, atol=0.02)
+    assert np.allclose(theta.std(axis=0), [2.0, 0.5], atol=0.02)
+
+
+def test_theta_samples_are_mu_plus_sd_times_the_draw():
+    q = FactorizedGaussian([0.5, -1.0, 2.0], [0.3, -2.0, 1.0])
+    eps = np.random.default_rng(7).standard_normal((5, 3))
+    want = np.exp(0.5 * q.log_var) * eps + q.mu
+    theta = predict._theta_samples(q, 5, 7)
+    assert theta.shape == (5, 3)
+    assert theta.tobytes() == want.tobytes()
+
+
 def test_regression_loglik_collapses_to_point_estimate():
     model = lk.LinearRegression(2, sigma2=0.25)
     q = FactorizedGaussian([1.0, -1.0], [-30.0, -30.0])
