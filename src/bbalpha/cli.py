@@ -289,6 +289,14 @@ def bias_cmd(config_path, out):
     click.echo("monotone-in-K net bias: %s" % ("pass" if ok else "FAIL"))
 
 
+def _grid(alpha_min, alpha_max, steps):
+    """The alpha grid; a span that is not finite, NaN included, exits 2."""
+    if not np.isfinite(alpha_max - alpha_min):
+        raise ConfigError("--alpha-min %r to --alpha-max %r is not a finite grid"
+                          % (alpha_min, alpha_max))
+    return np.linspace(alpha_min, alpha_max, steps)
+
+
 @main.command("analytic")
 @click.option("--example", type=click.Choice(["1", "2"]), required=True)
 @click.option("--sigma2", type=float, default=1.0)
@@ -307,9 +315,8 @@ def analytic_cmd(example, sigma2, alpha_min, alpha_max, steps, out):
     y = np.zeros(2)
     truth = oracle.true_posterior_linreg(X, y, sigma2)
     true_var = float(truth.cov[0, 0])
-    grid = np.linspace(alpha_min, alpha_max, steps)
     rows = []
-    for a in grid:
+    for a in _grid(alpha_min, alpha_max, steps):
         lam = lam_fn(a, sigma2)
         q_var = 1.0 / (1.0 + 2.0 * lam)
         q_dist = oracle.GaussianDist(np.zeros(2), q_var * np.eye(2))
@@ -373,13 +380,10 @@ def gen_toy_cmd(seed, out):
 @click.option("--out", default="divergence.csv")
 def divergence_cmd(mu1, var1, mu2, var2, alpha_min, alpha_max, steps, out):
     """Tabulate D_alpha between two diagonal Gaussians over an alpha grid."""
-    if not np.isfinite(alpha_max - alpha_min):      # NaN fails too
-        raise ConfigError("--alpha-min %r to --alpha-max %r is not a finite grid"
-                          % (alpha_min, alpha_max))
     p = oracle.GaussianDist(_floats("--mu1", mu1), np.diag(_floats("--var1", var1)))
     q = oracle.GaussianDist(_floats("--mu2", mu2), np.diag(_floats("--var2", var2)))
     rows = []
-    for a in np.linspace(alpha_min, alpha_max, steps):
+    for a in _grid(alpha_min, alpha_max, steps):
         try:
             rows.append((a, oracle.alpha_divergence(p, q, float(a))))
         except UndefinedDivergence:

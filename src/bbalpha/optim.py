@@ -8,7 +8,6 @@ master seed so runs are reproducible bit-for-bit.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -277,6 +276,7 @@ def train(model, data, prior, cfg: TrainConfig):
                 and (allowed is None or len(allowed) > 1))
     helper = nullcontext()
     if threaded:
+        from concurrent.futures import ThreadPoolExecutor
         helper = ThreadPoolExecutor(max_workers=1, initializer=_move_off,
                                     initargs=(allowed, _current_cpu()))
     # a non-finite value is reported by the checks, which name the op or the

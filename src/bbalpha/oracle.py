@@ -97,7 +97,8 @@ def true_posterior_linreg(X, y, sigma2) -> GaussianDist:
     X = np.atleast_2d(np.asarray(X, float))
     y = np.atleast_1d(np.asarray(y, float))
     d = X.shape[1]
-    prec = np.eye(d) + (X.T @ X) / sigma2
+    with np.errstate(over="ignore"):        # GaussianDist rejects an inf
+        prec = np.eye(d) + (X.T @ X) / sigma2
     cov = np.linalg.inv(prec)
     mu = cov @ (X.T @ y) / sigma2
     return GaussianDist(mu, 0.5 * (cov + cov.T))
@@ -179,28 +180,30 @@ def bbalpha_fixed_point(X, y, sigma2, alpha, damping=0.5, tol=1e-12,
 
 def example1_lambda(alpha, sigma2) -> float:
     """Closed-form tied site precision for the axis-aligned two-point design."""
-    _check_example_domain(alpha, sigma2)
-    disc = alpha ** 2 - 2 * alpha + (sigma2 + 1) ** 2
-    if disc < 0:
-        raise DomainError("negative discriminant")
-    return float((np.sqrt(disc) - alpha - sigma2 + 1) / (2 * sigma2 * (2 - alpha)))
+    return _closed_form(alpha, sigma2, lambda s: (np.sqrt(
+        alpha ** 2 - 2 * alpha + (s + 1) ** 2) - alpha - s + 1) / (2 * s * (2 - alpha)))
 
 
 def example2_lambda(alpha, sigma2) -> float:
     """Closed-form tied site precision for the anti-symmetric two-point design."""
-    _check_example_domain(alpha, sigma2)
-    disc = 4 * alpha ** 2 - 8 * alpha + sigma2 ** 2 + 4 * sigma2 + 4
-    if disc < 0:
-        raise DomainError("negative discriminant")
-    return float((np.sqrt(disc) - (2 * alpha + sigma2 - 2))
-                 / (2 * sigma2 * (2 - alpha)))
+    return _closed_form(alpha, sigma2, lambda s: (np.sqrt(
+        4 * alpha ** 2 - 8 * alpha + s ** 2 + 4 * s + 4) - (2 * alpha + s - 2))
+        / (2 * s * (2 - alpha)))
 
 
-def _check_example_domain(alpha, sigma2):
+def _closed_form(alpha, sigma2, lam):
+    """lam(sigma2) in numpy floats, which overflow to inf, not OverflowError;
+    both discriminants are positive for 0 < alpha < 2 and sigma2 > 0."""
     if not 0 < alpha < 2:
         raise DomainError("closed forms valid for 0 < alpha < 2")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = lam(np.float64(sigma2))
+    if not np.isfinite(value):
+        raise DomainError("lambda at alpha=%g, sigma2=%g is not finite in "
+                          "floating point" % (alpha, sigma2))
+    return float(value)
 
 
 def power_ep_message_passing(X, y, sigma2, alpha, passes=50, tol=1e-13):

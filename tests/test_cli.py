@@ -658,6 +658,16 @@ _NO_FILE = "No such file or directory"
     # p's precision, 1e320, is beyond the float range
     (["divergence", "--var1", "1e-320", "--steps", "3", "--out", "{tmp}/d.csv"], {},
      2, "D_alpha at alpha=0.5 is not a number in floating point"),
+    # (sigma2 + 1) ** 2 overflows; in Python floats it raised OverflowError
+    (["analytic", "--example", "1", "--sigma2", "1e308", "--steps", "3", "--out",
+      "{tmp}/a.csv"], {}, 2,
+     "lambda at alpha=0.01, sigma2=1e+308 is not finite in floating point"),
+    (["analytic", "--example", "1", "--alpha-min", "-1e308", "--alpha-max", "1e308",
+      "--out", "{tmp}/a.csv"], {}, 2,
+     "--alpha-min -1e+308 to --alpha-max 1e+308 is not"),
+    # the posterior precision 1 / sigma2 overflows, with no warning
+    (["analytic", "--example", "2", "--sigma2", "1e-320", "--steps", "3", "--out",
+      "{tmp}/a.csv"], {}, 2, "mean and covariance must be finite"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -673,7 +683,8 @@ _NO_FILE = "No such file or directory"
         "linreg_node_overflows", "bias_probit_data_linreg",
         "three_class_reads_no_d", "toy_cubic_reads_no_path", "bias_train_seed_negative",
         "model_key_not_a_string", "divergence_alpha_min_nan",
-        "divergence_grid_overflows", "divergence_mu_inf", "divergence_var_tiny"])
+        "divergence_grid_overflows", "divergence_mu_inf", "divergence_var_tiny",
+        "analytic_sigma2_overflows", "analytic_grid_overflows", "analytic_sigma2_tiny"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)

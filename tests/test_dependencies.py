@@ -50,10 +50,11 @@ def test_a_probit_run_never_loads_scipy(tmp_path):
 
 
 def test_importing_the_package_and_cli_loads_no_process_pool():
-    # the pool of `workers > 1` is imported when a run starts one
+    # the pool of `workers > 1` and the eps helper's thread pool are
+    # imported when a run starts one
     script = ("import sys, bbalpha, bbalpha.cli; print(sorted(m for m in"
-              " ('multiprocessing', 'concurrent.futures.process')"
-              " if m in sys.modules))")
+              " ('multiprocessing', 'concurrent.futures',"
+              " 'concurrent.futures.process') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -152,6 +152,10 @@ def test_example_closed_forms_domain():
             fn(0.0, 1.0)
         with pytest.raises(DomainError):
             fn(0.5, -1.0)
+        # lambda is not finite in floating point: no OverflowError or warning
+        for sigma2 in (1e308, 1e-320, np.inf, np.nan):
+            with pytest.raises(DomainError, match="is not finite"):
+                fn(0.5, sigma2)
 
 
 def test_fixed_point_no_convergence_carries_trace():
