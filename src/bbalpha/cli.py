@@ -313,7 +313,10 @@ def analytic_cmd(example, sigma2, alpha_min, alpha_max, steps, out):
         X = np.array([[1.0, -1.0], [-1.0, 1.0]])
         lam_fn = oracle.example2_lambda
     y = np.zeros(2)
-    truth = oracle.true_posterior_linreg(X, y, sigma2)
+    try:
+        truth = oracle.true_posterior_linreg(X, y, sigma2)
+    except BBAlphaError as e:
+        raise ConfigError("--sigma2 %r: %s" % (sigma2, e)) from None
     true_var = float(truth.cov[0, 0])
     rows = []
     for a in _grid(alpha_min, alpha_max, steps):

@@ -92,14 +92,21 @@ def alpha_divergence(p: GaussianDist, q: GaussianDist, alpha) -> float:
 
 def true_posterior_linreg(X, y, sigma2) -> GaussianDist:
     """Exact posterior under a unit-Gaussian prior on the weights."""
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
+    if not 0 < sigma2 < np.inf:
+        raise DomainError("sigma2 must be positive and finite")
     X = np.atleast_2d(np.asarray(X, float))
     y = np.atleast_1d(np.asarray(y, float))
     d = X.shape[1]
-    with np.errstate(over="ignore"):        # GaussianDist rejects an inf
+    with np.errstate(over="ignore"):
         prec = np.eye(d) + (X.T @ X) / sigma2
-    cov = np.linalg.inv(prec)
+    if not np.all(np.isfinite(prec)):
+        raise DomainError("the posterior precision X'X / sigma2 is not finite "
+                          "in floating point")
+    try:
+        cov = np.linalg.inv(prec)
+    except np.linalg.LinAlgError:
+        raise DomainError("the posterior precision X'X / sigma2 is singular "
+                          "in floating point") from None
     mu = cov @ (X.T @ y) / sigma2
     return GaussianDist(mu, 0.5 * (cov + cov.T))
 
@@ -180,26 +187,37 @@ def bbalpha_fixed_point(X, y, sigma2, alpha, damping=0.5, tol=1e-12,
 
 def example1_lambda(alpha, sigma2) -> float:
     """Closed-form tied site precision for the axis-aligned two-point design."""
-    return _closed_form(alpha, sigma2, lambda s: (np.sqrt(
-        alpha ** 2 - 2 * alpha + (s + 1) ** 2) - alpha - s + 1) / (2 * s * (2 - alpha)))
+    return _closed_form(alpha, sigma2, sigma2)
 
 
 def example2_lambda(alpha, sigma2) -> float:
-    """Closed-form tied site precision for the anti-symmetric two-point design."""
-    return _closed_form(alpha, sigma2, lambda s: (np.sqrt(
-        4 * alpha ** 2 - 8 * alpha + s ** 2 + 4 * s + 4) - (2 * alpha + s - 2))
-        / (2 * s * (2 - alpha)))
+    """Closed-form tied site precision for the anti-symmetric two-point design:
+    example 1's at half the noise variance."""
+    return _closed_form(alpha, sigma2, 0.5 * sigma2)
 
 
-def _closed_form(alpha, sigma2, lam):
-    """lam(sigma2) in numpy floats, which overflow to inf, not OverflowError;
-    both discriminants are positive for 0 < alpha < 2 and sigma2 > 0."""
+def _closed_form(alpha, sigma2, s):
+    """Example 1's lambda = (sqrt(D) - alpha - s + 1) / (2 s (2 - alpha)) at
+    noise variance s, with D = (s + 1)^2 - alpha (2 - alpha), in numpy floats.
+
+    Nothing cancels or overflows: D = (1 - alpha)^2 + s (s + 2) is a sum, and
+    rationalizing the numerator takes out (2 - alpha), leaving
+    lambda = (sqrt(D) + s + 1 - alpha) / (2 s (sqrt(D) + s + 1)).  For
+    alpha > 1, sqrt(D) - (alpha - 1) = s (s + 2) / (sqrt(D) + alpha - 1)
+    takes out s too.  Every sum is halved before it can pass the float range.
+    """
     if not 0 < alpha < 2:
         raise DomainError("closed forms valid for 0 < alpha < 2")
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = lam(np.float64(sigma2))
+    if not 0 < sigma2 < np.inf:
+        raise DomainError("sigma2 must be positive and finite")
+    s = np.float64(s)
+    with np.errstate(over="ignore", divide="ignore"):
+        root = np.hypot(1.0 - alpha, np.sqrt(s) * np.sqrt(s + 2.0))
+        half = 0.5 * root + 0.5 * s + 0.5           # (sqrt(D) + s + 1) / 2
+        if alpha <= 1:
+            value = 0.5 * ((0.5 * root + 0.5 * s + 0.5 * (1.0 - alpha)) / half) / s
+        else:
+            value = 0.25 * (1.0 + (s + 2.0) / (root + (alpha - 1.0))) / half
     if not np.isfinite(value):
         raise DomainError("lambda at alpha=%g, sigma2=%g is not finite in "
                           "floating point" % (alpha, sigma2))

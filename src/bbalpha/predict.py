@@ -1,9 +1,12 @@
 """Posterior-predictive evaluation: Monte-Carlo mixtures over q samples.
 
-Every function draws its K parameter samples once and evaluates all rows of
-X with the model's `batch_forward`, ROW_BLOCK rows at a time, so peak memory
-is bounded by K x ROW_BLOCK model activations whatever the number of rows.
-Results are per-row arrays; every row sees the same K samples.
+Every function evaluates the rows of X with the model's `batch_forward`,
+ROW_BLOCK rows at a time, and the K parameter samples THETA_BLOCK bytes of
+them at a time, into the (K, ..., B) per-sample outputs of a row block that
+its reduction reads.  So the samples and the model's activations take one
+theta block and its activations over ROW_BLOCK rows, whatever K and the
+number of rows; only those outputs, a few numbers per sample and row, grow
+with K.  Results are per-row arrays; every row sees the same K samples.
 """
 
 import numpy as np
@@ -12,15 +15,44 @@ from . import autodiff as ad
 
 # Test rows per batched forward pass.
 ROW_BLOCK = 256
+# Bytes of parameter samples theta per batched forward pass.
+THETA_BLOCK = 2 ** 19
 
 
-def _theta_samples(q, k_samples, seed):
+def _block_rows(dim):
+    """Samples per theta block: as many as fit in THETA_BLOCK, at least one."""
+    return max(1, THETA_BLOCK // (8 * dim))
+
+
+def _theta_blocks(q, k_samples, seed):
+    """The (K, P) samples theta = mu + sd * eps as consecutive row blocks of
+    at most THETA_BLOCK bytes; the eps are, in order, the rows of one
+    (K, P) draw.  seed=None with k_samples=1 yields the posterior mean."""
     if k_samples == 1 and seed is None:
-        return q.mu[None, :]
-    theta = np.random.default_rng(seed).standard_normal((k_samples, q.dim))
-    theta *= np.exp(0.5 * q.log_var)
-    theta += q.mu
-    return theta
+        yield q.mu[None, :]
+        return
+    rng = np.random.default_rng(seed)
+    sd = np.exp(0.5 * q.log_var)
+    rows = _block_rows(q.dim)
+    for k in range(0, k_samples, rows):
+        theta = rng.standard_normal((min(rows, k_samples - k), q.dim))
+        theta *= sd
+        theta += q.mu
+        yield theta
+
+
+def _sample_outputs(q, model, k_samples, seed):
+    """A function of a row block Xb that returns `model.batch_forward` of
+    all K samples on it, (K, ..., B), run one theta block at a time.  A theta
+    that fits in one block is drawn once; a larger one is drawn again for
+    each row block, from the same seed."""
+    if k_samples <= _block_rows(q.dim):
+        theta, = _theta_blocks(q, k_samples, seed)
+        return lambda Xb: model.batch_forward(theta, Xb)
+    if seed is None:
+        seed = np.random.SeedSequence()     # the same draws for every row block
+    return lambda Xb: np.concatenate([model.batch_forward(theta, Xb) for theta
+                                      in _theta_blocks(q, k_samples, seed)])
 
 
 def _noise_log_var(model, log_sigma2):
@@ -51,26 +83,26 @@ def predict_loglik_regression(q, model, X, y, k_samples, seed, log_sigma2=None,
     -log(y_std) maps the density back to the original scale.  seed=None with
     k_samples=1 collapses to the posterior-mean parameters.
     """
-    theta = _theta_samples(q, k_samples, seed)
+    forward = _sample_outputs(q, model, k_samples, seed)
     log_sigma2 = _noise_log_var(model, log_sigma2)
     y_s = (np.atleast_1d(np.asarray(y, float)) - y_mean) / y_std
 
     def block(Xb, yb):
-        outs = model.batch_forward(theta, Xb)        # (K, B)
+        outs = forward(Xb)                           # (K, B)
         comp = (-0.5 * np.log(2 * np.pi) - 0.5 * log_sigma2
                 - (yb[None, :] - outs) ** 2 / (2 * np.exp(log_sigma2)))
         return ad.logsumexp(comp, axis=0)
 
     lse = _by_row_block(block, X, y_s)
-    return lse - np.log(theta.shape[0]) - np.log(y_std)
+    return lse - np.log(k_samples) - np.log(y_std)
 
 
 def predict_probit(q, model, X, k_samples, seed):
     """Monte-Carlo class probabilities [P(y=-1), P(y=+1)] per row; (B, 2)."""
-    theta = _theta_samples(q, k_samples, seed)
+    forward = _sample_outputs(q, model, k_samples, seed)
 
     def block(Xb):
-        p_pos = ad.norm_cdf(model.batch_forward(theta, Xb)).mean(axis=0)
+        p_pos = ad.norm_cdf(forward(Xb)).mean(axis=0)
         return np.stack([1.0 - p_pos, p_pos], axis=1)
 
     return _by_row_block(block, X)
@@ -78,10 +110,10 @@ def predict_probit(q, model, X, k_samples, seed):
 
 def predict_class(q, model, X, k_samples, seed):
     """Monte-Carlo averaged softmax class probabilities per row; (B, C)."""
-    theta = _theta_samples(q, k_samples, seed)
+    forward = _sample_outputs(q, model, k_samples, seed)
 
     def block(Xb):
-        logits = model.batch_forward(theta, Xb)      # (K, C, B)
+        logits = forward(Xb)                         # (K, C, B)
         probs = np.exp(logits - np.expand_dims(ad.logsumexp(logits, axis=1), 1))
         return probs.mean(axis=0).T
 
@@ -94,11 +126,11 @@ def predictive_regression_stats(q, model, X, k_samples, seed, log_sigma2=None):
     Variance is the spread of network outputs across posterior samples plus
     the observation noise.
     """
-    theta = _theta_samples(q, k_samples, seed)
+    forward = _sample_outputs(q, model, k_samples, seed)
     noise_var = np.exp(_noise_log_var(model, log_sigma2))
 
     def block(Xb):
-        outs = model.batch_forward(theta, Xb)        # (K, B)
+        outs = forward(Xb)                           # (K, B)
         return outs.mean(axis=0), np.sqrt(outs.var(axis=0) + noise_var)
 
     return _by_row_block(block, X)

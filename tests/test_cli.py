@@ -70,6 +70,23 @@ def test_analytic_example1(runner, tmp_path):
     assert float(row[3]) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("example, scale", [("1", 0.5), ("2", 1.0)],
+                         ids=["example1", "example2"])
+def test_analytic_sigma2_1e308_exits_0_with_lambda_at_its_limit(runner, tmp_path,
+                                                                 example, scale):
+    # (sigma2 + 1) ** 2 overflows, and lambda tends to scale / sigma2
+    out = tmp_path / "a.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(cli.main, ["analytic", "--example", example,
+                                          "--sigma2", "1e308", "--steps", "3",
+                                          "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows[:, 1], scale / 1e308, rtol=1e-9)
+
+
 def test_analytic_rejects_out_of_domain(runner, tmp_path):
     result = runner.invoke(cli.main, ["analytic", "--example", "2",
                                       "--alpha-max", "2.5",
@@ -658,16 +675,24 @@ _NO_FILE = "No such file or directory"
     # p's precision, 1e320, is beyond the float range
     (["divergence", "--var1", "1e-320", "--steps", "3", "--out", "{tmp}/d.csv"], {},
      2, "D_alpha at alpha=0.5 is not a number in floating point"),
-    # (sigma2 + 1) ** 2 overflows; in Python floats it raised OverflowError
-    (["analytic", "--example", "1", "--sigma2", "1e308", "--steps", "3", "--out",
-      "{tmp}/a.csv"], {}, 2,
-     "lambda at alpha=0.01, sigma2=1e+308 is not finite in floating point"),
     (["analytic", "--example", "1", "--alpha-min", "-1e308", "--alpha-max", "1e308",
       "--out", "{tmp}/a.csv"], {}, 2,
      "--alpha-min -1e+308 to --alpha-max 1e+308 is not"),
     # the posterior precision 1 / sigma2 overflows, with no warning
     (["analytic", "--example", "2", "--sigma2", "1e-320", "--steps", "3", "--out",
-      "{tmp}/a.csv"], {}, 2, "mean and covariance must be finite"),
+      "{tmp}/a.csv"], {}, 2,
+     "--sigma2 1e-320: the posterior precision X'X / sigma2 is not finite"),
+    (["analytic", "--example", "1", "--sigma2", "1e-320", "--steps", "3", "--out",
+      "{tmp}/a.csv"], {}, 2,
+     "--sigma2 1e-320: the posterior precision X'X / sigma2 is not finite"),
+    (["analytic", "--example", "1", "--sigma2", "nan", "--steps", "3", "--out",
+      "{tmp}/a.csv"], {}, 2, "--sigma2 nan: sigma2 must be positive and finite"),
+    (["analytic", "--example", "2", "--sigma2", "inf", "--steps", "3", "--out",
+      "{tmp}/a.csv"], {}, 2, "--sigma2 inf: sigma2 must be positive and finite"),
+    # X'X is singular, and 1 + 2 / sigma2 rounds to 2 / sigma2
+    (["analytic", "--example", "2", "--sigma2", "1e-20", "--steps", "3", "--out",
+      "{tmp}/a.csv"], {}, 2,
+     "--sigma2 1e-20: the posterior precision X'X / sigma2 is singular"),
 ], ids=["toy_alpha_0", "toy_alpha_abc", "toy_epochs_0", "toy_out", "gen_toy_out",
         "analytic_out", "divergence_out", "bias_out", "train_out_dir_under_file",
         "divergence_mu_abc", "divergence_var_negative", "divergence_length_mismatch",
@@ -684,7 +709,9 @@ _NO_FILE = "No such file or directory"
         "three_class_reads_no_d", "toy_cubic_reads_no_path", "bias_train_seed_negative",
         "model_key_not_a_string", "divergence_alpha_min_nan",
         "divergence_grid_overflows", "divergence_mu_inf", "divergence_var_tiny",
-        "analytic_sigma2_overflows", "analytic_grid_overflows", "analytic_sigma2_tiny"])
+        "analytic_grid_overflows", "analytic_sigma2_tiny",
+        "analytic_sigma2_tiny_example1", "analytic_sigma2_nan", "analytic_sigma2_inf",
+        "analytic_precision_singular"])
 def test_error_exits_with_its_code_and_one_line(runner, tmp_path, argv, sections,
                                                 code, needle):
     cfg = _table_config(tmp_path, sections)
@@ -873,3 +900,40 @@ def _generated_configs(draw):
 @given(cfg=_generated_configs())
 def test_generated_configs_exit_as_documented(gen_dir, cfg):
     _run_as_documented(CliRunner(), gen_dir, cfg)
+
+
+# edge values of the analytic command's float options, NaN and the float
+# range's ends among them
+_SIGMA2_EDGES = [-1.0, 0.0, 5e-324, 1e-320, 1e-308, 1e-300, 1e-20, 1e-3, 1.0,
+                 1e16, 1e154, 1e308, 1.7976931348623157e308, np.inf, np.nan]
+_ALPHA_EDGES = [-np.inf, -1e308, -1.0, 0.0, 5e-324, 1e-300, 0.01, 0.5, 1.0, 1.5,
+                1.99, 1.9999999999999998, 2.0, 3.0, 1e308, np.inf, np.nan]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(example=st.sampled_from(["1", "2"]),
+       sigma2=st.sampled_from(_SIGMA2_EDGES),
+       alpha_min=st.sampled_from(_ALPHA_EDGES),
+       alpha_max=st.sampled_from(_ALPHA_EDGES), steps=st.sampled_from([1, 2, 3, 7]))
+def test_generated_analytic_options_exit_as_documented(gen_dir, example, sigma2,
+                                                       alpha_min, alpha_max, steps):
+    """The train test's properties, and a written table holds no NaN cell."""
+    out = gen_dir / "analytic.csv"
+    out.unlink(missing_ok=True)
+    argv = ["analytic", "--example", example, "--sigma2", repr(sigma2),
+            "--alpha-min", repr(alpha_min), "--alpha-max", repr(alpha_max),
+            "--steps", str(steps), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(cli.main, argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        (argv, [str(w.message) for w in caught])
+    assert result.exit_code in (0, 2, 3, 4), (argv, result.output, result.exception)
+    if result.exit_code:
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, (argv, result.stderr)
+        assert lines[0].startswith(_LABELS[result.exit_code]), (argv, result.stderr)
+    else:
+        table = out.read_text(encoding="utf-8")
+        cells = [c for row in table.splitlines()[1:] for c in row.split(",")]
+        assert len(cells) == 5 * steps and "nan" not in cells, (argv, table)

@@ -1,5 +1,5 @@
 """Allocation budget of one MC energy-plus-gradient evaluation and of
-prediction's parameter samples.
+prediction.
 
 The tracemalloc peak of one `bbalpha_energy_mc` call, counted in (K, B)
 arrays for linear regression at K = 10,000 and in (K, P) arrays for the
@@ -7,8 +7,8 @@ three-class MLP: each evaluation allocates only the (K, .) arrays it keeps
 and a few transient ones.  The caller's draws and data are allocated
 before tracing starts, so they do not count.  Inside `ad.reuse_buffers` a
 second evaluation takes those arrays from the pool the first one filled.
-Prediction's samples are counted in (S, P) arrays: theta is formed in the
-draws' own array.
+Prediction is counted in theta blocks: it draws and evaluates its K samples
+one block at a time, so its peak does not grow with K.
 """
 
 import gc
@@ -96,12 +96,17 @@ def test_a_pooled_evaluation_stays_within_budget(kind, alpha, monkeypatch):
     assert peak <= POOLED_BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
 
 
-def test_prediction_samples_stay_within_one_array():
-    # theta in the draws' array, plus a few (P,) vectors
+def test_prediction_peak_stays_within_one_budget_at_k_100_and_400():
+    # two theta blocks (one drawn while the last one is still held), their
+    # activations over 30 rows, and the (K, C, 30) outputs the reduction
+    # reads, small at these K; the whole (K, P) theta is 4.4 blocks at K = 100
     model = lk.MLPClassification(2, 50, 50, 3)
-    S, P = 100, model.theta_dim
+    P = model.theta_dim
     rng = np.random.default_rng(0)
     q = FactorizedGaussian(rng.normal(0.0, 0.3, size=P), np.full(P, -3.0))
-    unit = S * P * 8
-    peak = _peak_bytes(lambda: predict._theta_samples(q, S, 1))
-    assert peak <= 1.1 * unit, "peak %.2f unit arrays" % (peak / unit)
+    X = rng.normal(size=(30, 2))
+    budget = 3.5 * predict.THETA_BLOCK
+    for k_samples in (100, 400):
+        peak = _peak_bytes(lambda: predict.predict_class(q, model, X, k_samples, 1))
+        assert peak <= budget, "K %d: peak %.2f theta blocks" % (
+            k_samples, peak / predict.THETA_BLOCK)

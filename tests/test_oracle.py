@@ -152,10 +152,30 @@ def test_example_closed_forms_domain():
             fn(0.0, 1.0)
         with pytest.raises(DomainError):
             fn(0.5, -1.0)
-        # lambda is not finite in floating point: no OverflowError or warning
-        for sigma2 in (1e308, 1e-320, np.inf, np.nan):
-            with pytest.raises(DomainError, match="is not finite"):
+        for sigma2 in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="sigma2 must be positive and finite"):
                 fn(0.5, sigma2)
+        # lambda, about 1 / sigma2, is beyond the float range: no warning
+        with pytest.raises(DomainError, match="is not finite"):
+            fn(0.5, 1e-320)
+
+
+@pytest.mark.parametrize("sigma2", [1e-300, 1e-3, 1.0, 1e6, 1e12, 1e16, 1e150,
+                                    1e308])
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 1.99])
+def test_example_closed_forms_match_mpmath(alpha, sigma2):
+    mpmath = pytest.importorskip("mpmath")
+    # the printed forms, in enough digits that their cancellation is exact
+    with mpmath.workdps(700):
+        a, s = mpmath.mpf(alpha), mpmath.mpf(sigma2)
+        want = [(mpmath.sqrt(a ** 2 - 2 * a + (s + 1) ** 2) - a - s + 1)
+                / (2 * s * (2 - a)),
+                (mpmath.sqrt(4 * a ** 2 - 8 * a + s ** 2 + 4 * s + 4)
+                 - (2 * a + s - 2)) / (2 * s * (2 - a))]
+        got = [oracle.example1_lambda(alpha, sigma2),
+               oracle.example2_lambda(alpha, sigma2)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * w, (g, w)
 
 
 def test_fixed_point_no_convergence_carries_trace():

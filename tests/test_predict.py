@@ -11,20 +11,33 @@ from bbalpha.expfam import FactorizedGaussian
 from reference_models import log_lik as ref_log_lik, output as ref_output
 
 
+def _theta(q, k_samples, seed):
+    """All K samples, from the blocks prediction draws them in."""
+    return np.concatenate(list(predict._theta_blocks(q, k_samples, seed)))
+
+
 def test_theta_samples_match_moments():
     q = FactorizedGaussian([1.0, -2.0], [np.log(4.0), np.log(0.25)])
-    theta = predict._theta_samples(q, 200000, 1)
+    blocks = list(predict._theta_blocks(q, 200000, 1))
+    assert len(blocks) == 7                 # 32,768 samples of 16 bytes a block
+    assert all(b.nbytes <= predict.THETA_BLOCK for b in blocks)
+    theta = np.concatenate(blocks)
     assert np.allclose(theta.mean(axis=0), q.mu, atol=0.02)
     assert np.allclose(theta.std(axis=0), [2.0, 0.5], atol=0.02)
 
 
 def test_theta_samples_are_mu_plus_sd_times_the_draw():
-    q = FactorizedGaussian([0.5, -1.0, 2.0], [0.3, -2.0, 1.0])
-    eps = np.random.default_rng(7).standard_normal((5, 3))
-    want = np.exp(0.5 * q.log_var) * eps + q.mu
-    theta = predict._theta_samples(q, 5, 7)
-    assert theta.shape == (5, 3)
-    assert theta.tobytes() == want.tobytes()
+    # the blocks' draws are, in order, the rows of one (K, P) draw
+    rng = np.random.default_rng(0)
+    for dim, k_samples, n_blocks in ((3, 5, 1), (3000, 50, 3)):
+        q = FactorizedGaussian(rng.normal(size=dim), rng.normal(size=dim))
+        eps = np.random.default_rng(7).standard_normal((k_samples, dim))
+        want = np.exp(0.5 * q.log_var) * eps + q.mu
+        blocks = list(predict._theta_blocks(q, k_samples, 7))
+        assert len(blocks) == n_blocks
+        theta = np.concatenate(blocks)
+        assert theta.shape == (k_samples, dim)
+        assert theta.tobytes() == want.tobytes()
 
 
 def test_regression_loglik_collapses_to_point_estimate():
@@ -121,7 +134,7 @@ def test_batched_loglik_regression_matches_per_row_loop(model):
     y = np.random.default_rng(11).normal(2.0, 3.0, size=X.shape[0])
     got = predict.predict_loglik_regression(q, model, X, y, 30, 4,
                                             y_mean=1.5, y_std=2.5)
-    theta = predict._theta_samples(q, 30, 4)
+    theta = _theta(q, 30, 4)
     ref = [special.logsumexp([ref_log_lik(model, th, x, (t - 1.5) / 2.5)
                               for th in theta]) - np.log(30) - np.log(2.5)
            for x, t in zip(X, y)]
@@ -133,7 +146,7 @@ def test_batched_loglik_regression_matches_per_row_loop(model):
 def test_batched_regression_stats_match_per_row_loop(model):
     q, X = _fixture(model, 12)
     mean, std = predict.predictive_regression_stats(q, model, X, 30, 5)
-    theta = predict._theta_samples(q, 30, 5)
+    theta = _theta(q, 30, 5)
     outs = np.array([[np.squeeze(ref_output(model, th, x)) for th in theta]
                      for x in X])
     np.testing.assert_allclose(mean, outs.mean(axis=1), rtol=1e-12, atol=0)
@@ -146,7 +159,7 @@ def test_batched_probit_matches_per_row_loop():
     model = lk.ProbitRegression(3)
     q, X = _fixture(model, 13)
     probs = predict.predict_probit(q, model, X, 30, 6)
-    theta = predict._theta_samples(q, 30, 6)
+    theta = _theta(q, 30, 6)
     p_pos = np.array([np.mean([special.ndtr(th @ x) for th in theta]) for x in X])
     assert probs.shape == (X.shape[0], 2)
     np.testing.assert_allclose(probs[:, 1], p_pos, rtol=1e-12, atol=0)
@@ -157,7 +170,7 @@ def test_batched_class_matches_per_row_loop():
     model = lk.MLPClassification(3, 5, 4, 3)
     q, X = _fixture(model, 14)
     probs = predict.predict_class(q, model, X, 30, 7)
-    theta = predict._theta_samples(q, 30, 7)
+    theta = _theta(q, 30, 7)
     ref = []
     for x in X:
         logits = [ref_output(model, th, x) for th in theta]
@@ -165,6 +178,56 @@ def test_batched_class_matches_per_row_loop():
                            axis=0))
     assert probs.shape == (X.shape[0], 3)
     np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0)
+
+
+def _public_calls(n_rows):
+    """{name: (model, K, call)} for each public function, whose calls return
+    one array; the MLPs' K samples span several theta blocks."""
+    rng = np.random.default_rng(16)
+    cls = lk.MLPClassification(2, 50, 50, 3)         # P 2,853: 22 a block
+    reg = lk.MLPRegression(2, 100, log_sigma2=0.1)     # P 401: 163 a block
+    prb, lin = lk.ProbitRegression(2), lk.LinearRegression(2, sigma2=0.5)
+    q = {m: FactorizedGaussian(0.3 * rng.normal(size=m.theta_dim),
+                               np.full(m.theta_dim, -2.0))
+         for m in (cls, reg, prb, lin)}
+    X, y = rng.normal(size=(n_rows, 2)), rng.normal(size=n_rows)
+    return {
+        "class": (cls, 100, lambda: predict.predict_class(q[cls], cls, X, 100, 3)),
+        "loglik_mlp": (reg, 500, lambda: predict.predict_loglik_regression(
+            q[reg], reg, X, y, 500, 3, y_mean=0.5, y_std=2.0)),
+        "stats_mlp": (reg, 500, lambda: np.stack(
+            predict.predictive_regression_stats(q[reg], reg, X, 500, 3))),
+        "probit": (prb, 100, lambda: predict.predict_probit(q[prb], prb, X, 100, 3)),
+        "loglik_linreg": (lin, 100, lambda: predict.predict_loglik_regression(
+            q[lin], lin, X, y, 100, 3)),
+        "stats_linreg": (lin, 100, lambda: np.stack(
+            predict.predictive_regression_stats(q[lin], lin, X, 100, 3))),
+    }
+
+
+@pytest.mark.parametrize("n_rows, row_block", [(30, 256), (23, 5)],
+                         ids=["one_row_block", "five_row_blocks"])
+@pytest.mark.parametrize("name", ["class", "loglik_mlp", "stats_mlp", "probit",
+                                  "loglik_linreg", "stats_linreg"])
+def test_theta_blocks_do_not_change_a_bit(monkeypatch, name, n_rows, row_block):
+    # against one batch_forward over all K samples per row block; the
+    # linear models' samples fit in one block, the MLPs' span three or more
+    model, k_samples, call = _public_calls(n_rows)[name]
+    n_blocks = -(-k_samples // predict._block_rows(model.theta_dim))
+    assert (n_blocks >= 3) == model.kind.startswith("mlp")
+    row_blocks = -(-n_rows // row_block)
+    monkeypatch.setattr(predict, "ROW_BLOCK", row_block)
+    forward, sizes = model.batch_forward, []
+    monkeypatch.setattr(model, "batch_forward",
+                        lambda theta, Xb: sizes.append(len(theta)) or forward(theta, Xb))
+    got = call()
+    assert len(sizes) == n_blocks * row_blocks
+    assert sum(sizes) == k_samples * row_blocks
+    monkeypatch.setattr(predict, "THETA_BLOCK", 2 ** 62)
+    sizes.clear()
+    want = call()
+    assert sizes == [k_samples] * row_blocks
+    assert got.tobytes() == want.tobytes()
 
 
 def test_row_blocks_do_not_change_results(monkeypatch):
