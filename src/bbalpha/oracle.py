@@ -200,11 +200,11 @@ def _closed_form(alpha, sigma2, s):
     """Example 1's lambda = (sqrt(D) - alpha - s + 1) / (2 s (2 - alpha)) at
     noise variance s, with D = (s + 1)^2 - alpha (2 - alpha), in numpy floats.
 
-    Nothing cancels or overflows: D = (1 - alpha)^2 + s (s + 2) is a sum, and
-    rationalizing the numerator takes out (2 - alpha), leaving
-    lambda = (sqrt(D) + s + 1 - alpha) / (2 s (sqrt(D) + s + 1)).  For
-    alpha > 1, sqrt(D) - (alpha - 1) = s (s + 2) / (sqrt(D) + alpha - 1)
-    takes out s too.  Every sum is halved before it can pass the float range.
+    Rationalizing the numerator gives lambda = 1 / (sqrt(D) + s + alpha - 1),
+    a sum for alpha > 1; for alpha <= 1, sqrt(D) - (1 - alpha) =
+    s (s + 2) / (sqrt(D) + 1 - alpha), so lambda = 1 / (s (1 + (s + 2) /
+    (sqrt(D) + 1 - alpha))).  With D = (1 - alpha)^2 + s (s + 2) nothing
+    cancels, and halving the denominators keeps them inside the float range.
     """
     if not 0 < alpha < 2:
         raise DomainError("closed forms valid for 0 < alpha < 2")
@@ -213,11 +213,10 @@ def _closed_form(alpha, sigma2, s):
     s = np.float64(s)
     with np.errstate(over="ignore", divide="ignore"):
         root = np.hypot(1.0 - alpha, np.sqrt(s) * np.sqrt(s + 2.0))
-        half = 0.5 * root + 0.5 * s + 0.5           # (sqrt(D) + s + 1) / 2
         if alpha <= 1:
-            value = 0.5 * ((0.5 * root + 0.5 * s + 0.5 * (1.0 - alpha)) / half) / s
+            value = 0.5 / (s * (0.5 + 0.5 * (s + 2.0) / (root + (1.0 - alpha))))
         else:
-            value = 0.25 * (1.0 + (s + 2.0) / (root + (alpha - 1.0))) / half
+            value = 0.5 / (0.5 * root + 0.5 * s + 0.5 * (alpha - 1.0))
     if not np.isfinite(value):
         raise DomainError("lambda at alpha=%g, sigma2=%g is not finite in "
                           "floating point" % (alpha, sigma2))

@@ -6,7 +6,9 @@ them at a time, into the (K, ..., B) per-sample outputs of a row block that
 its reduction reads.  So the samples and the model's activations take one
 theta block and its activations over ROW_BLOCK rows, whatever K and the
 number of rows; only those outputs, a few numbers per sample and row, grow
-with K.  Results are per-row arrays; every row sees the same K samples.
+with K.  Results are per-row arrays; every row sees the same K samples,
+drawn again for each row block, so a seed is None, an int, a sequence of
+ints or a SeedSequence, and a Generator is refused.
 """
 
 import numpy as np
@@ -43,13 +45,14 @@ def _theta_blocks(q, k_samples, seed):
 
 def _sample_outputs(q, model, k_samples, seed):
     """A function of a row block Xb that returns `model.batch_forward` of
-    all K samples on it, (K, ..., B), run one theta block at a time.  A theta
-    that fits in one block is drawn once; a larger one is drawn again for
-    each row block, from the same seed."""
-    if k_samples <= _block_rows(q.dim):
-        theta, = _theta_blocks(q, k_samples, seed)
-        return lambda Xb: model.batch_forward(theta, Xb)
-    if seed is None:
+    all K samples on it, (K, ..., B), run one theta block at a time.  The
+    samples are drawn again for each row block from the same seed, so seed
+    must be None, an int, a sequence of ints or a SeedSequence; a Generator
+    or BitGenerator, whose state moves on, is refused."""
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError("seed must be None, an int, a sequence of ints or a "
+                        "SeedSequence, not a %s" % type(seed).__name__)
+    if seed is None and k_samples > 1:
         seed = np.random.SeedSequence()     # the same draws for every row block
     return lambda Xb: np.concatenate([model.batch_forward(theta, Xb) for theta
                                       in _theta_blocks(q, k_samples, seed)])

@@ -247,3 +247,23 @@ def test_row_blocks_do_not_change_results(monkeypatch):
     monkeypatch.setattr(predict, "ROW_BLOCK", 5)   # 23 rows: 5 blocks
     for f, ref in zip(calls, one_block):
         np.testing.assert_allclose(f(), ref, rtol=1e-12, atol=0)
+
+
+def test_unseeded_row_blocks_see_the_same_samples(monkeypatch):
+    # seed=None draws one fresh stream that every row block and theta block
+    # reuses, so equal rows in different row blocks get equal results
+    model = lk.MLPClassification(2, 4, 4, 3)
+    q, _ = _fixture(model, 0)
+    monkeypatch.setattr(predict, "ROW_BLOCK", 5)
+    monkeypatch.setattr(predict, "THETA_BLOCK", 8 * model.theta_dim * 3)
+    probs = predict.predict_class(q, model, np.tile([0.3, -0.2], (12, 1)), 10, None)
+    assert (probs == probs[0]).all()
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(0), np.random.PCG64(0)],
+                         ids=["generator", "bit_generator"])
+def test_a_generator_seed_is_refused(seed):
+    model = lk.ProbitRegression(2)
+    q, _ = _fixture(model, 0)
+    with pytest.raises(TypeError, match="seed must be None, an int"):
+        predict.predict_probit(q, model, np.ones((3, 2)), 10, seed)
