@@ -23,6 +23,10 @@ until its own VJP runs, after its consumers' (its only readers), so that
 VJP may write into it; a node that owns its value and whose VJP does not read
 it may lend it to its one consumer, as the log-likelihood node does to
 `alpha_energy`.  `value_and_grad` reads the root's value before any VJP.
+A scratch array that ends before the call does goes back to the pool at its
+last use, by :func:`release`, and the next request of its shape and dtype
+in the same call takes it: `alpha_energy`'s theta^2 becomes the `mlp` VJP's
+(K, P) gradient.
 """
 
 import math
@@ -37,8 +41,8 @@ from .errors import NonFiniteIntermediate
 
 class _Buffers(threading.local):
     """Per-thread state of reuse_buffers: the free buffers, keyed by
-    (shape, dtype), while a block is open, and the (key, buffer) pairs lent
-    to the value_and_grad call running inside it."""
+    (shape, dtype), while a block is open, and the (free list, buffer)
+    pairs lent to the value_and_grad call running inside it."""
 
     free = None
     lent = None
@@ -93,6 +97,24 @@ def empty(shape, dtype=float):
     buf = free.pop() if free else _mapped(shape, np.dtype(dtype))
     lent.append((free, buf))        # the list it goes back to
     return buf
+
+
+def release(buf):
+    """Hand `buf` back to the pool before the value_and_grad call ends.
+
+    The caller must not touch `buf` afterwards: the next :func:`empty` of
+    its shape and dtype may return it.  An array the running call has not
+    lent, or has lent and taken back already, is left alone, as is any
+    array outside a pooled evaluation.
+    """
+    lent = _buffers.lent
+    if lent is None:
+        return
+    for i in range(len(lent) - 1, -1, -1):     # scratch is lent late
+        if lent[i][1] is buf:
+            free, _ = lent.pop(i)
+            free.append(buf)
+            return
 
 
 class Tape:
@@ -255,11 +277,16 @@ def logsumexp(a, axis=None):
     # in a slice of -inf entries, -inf - -inf is NaN; every such entry is a
     # tied maximum and is zeroed below, so the slice gives -inf as in scipy
     with np.errstate(invalid="ignore"):
-        e = np.exp(x - x_max)
+        e = np.subtract(x, x_max)
+        np.exp(e, out=e)
     e[tied] = 0.0
     s = e.sum(axis=axis, keepdims=True)
-    out_kd = (np.log1p(s / m) + np.log(m) + x_max).reshape(
-        () if av.ndim == 0 else x_max.shape)
+    del e, tied                     # the full-size arrays go before the tail
+    s /= m
+    out_kd = np.log1p(s, out=s)
+    out_kd += np.log(m)
+    out_kd += x_max
+    out_kd = out_kd.reshape(() if av.ndim == 0 else x_max.shape)
 
     def vjp(g):
         soft = np.exp(av - out_kd)

@@ -149,6 +149,7 @@ def _alpha_energy(mu, log_var, p_mu, p_log_var, theta, loglik, n_data, alpha,
     rows, g_mu, g_lv = G[:2], G[0], G[1]
     c.dot(eps, out=g_mu)
     c.dot(np.multiply(eps, eps, out=th2), out=g_lv)
+    ad.release(th2)                                   # the model VJP takes it
     rows *= sd_sd2
     rows /= n_data
     g_lv += g_mu * dm

@@ -8,7 +8,8 @@ master seed so runs are reproducible bit-for-bit.
 """
 
 import os
-from contextlib import nullcontext
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,28 +194,57 @@ def _move_off(allowed, cpu):
         pass
 
 
-def _eps_stream(rng, n, shape, pool=None):
+def _eps_stream(rng, n, shape, place=None):
     """Yield the n blocks that n calls of rng.standard_normal(shape) give.
 
-    Without a pool one buffer is refilled in line.  With one, the next block
-    is drawn into a second buffer on the pool's thread while the caller uses
-    the current block, so a yielded block is valid only until the next one
-    is requested.  Only the pool's thread touches `rng` once a block is
-    submitted, and the blocks come in the same order either way.
+    With place None one buffer is refilled in line.  With place = (allowed,
+    cpu), a helper thread runs _move_off(allowed, cpu) and then draws the
+    next block into a second buffer while the caller uses the current one,
+    so a yielded block is valid only until the next one is requested.  Only
+    the helper touches `rng` once it starts, and the blocks come in the same
+    order either way.  A draw's exception is raised here, at the block it
+    was to fill; the helper is joined when the generator ends or is closed.
     """
-    if pool is None:
+    if place is None:
         buf = np.empty(shape)
         for _ in range(n):
             rng.standard_normal(out=buf)
             yield buf
         return
     bufs = (np.empty(shape), np.empty(shape))
-    pending = pool.submit(rng.standard_normal, out=bufs[0])
-    for i in range(n):
-        pending.result()
-        if i + 1 < n:
-            pending = pool.submit(rng.standard_normal, out=bufs[(i + 1) % 2])
-        yield bufs[i % 2]
+    # free counts the buffers the helper may fill, ready the blocks drawn
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    stop, failed = threading.Event(), {}
+
+    def draw():
+        i = 0
+        try:
+            _move_off(*place)
+            for i in range(n):
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=bufs[i % 2])
+                ready.release()
+            stop.wait()                 # the helper lives as long as the stream
+        except BaseException as e:      # the caller raises it; caught all,
+            failed[i] = e               # so that the caller never waits on
+            ready.release()             # a block that will not come
+
+    helper = threading.Thread(target=draw, name="bbalpha-eps")
+    helper.start()
+    try:
+        for i in range(n):
+            if i:
+                free.release()          # block i - 1's buffer takes block i + 1
+            ready.acquire()
+            if i in failed:
+                raise failed.pop(i)
+            yield bufs[i % 2]
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
 
 
 # every step allocates (K, .) arrays of the same shapes: a pool lends them,
@@ -274,16 +304,11 @@ def train(model, data, prior, cfg: TrainConfig):
     allowed = _allowed_cpus()
     threaded = (n_refresh > 0 and cfg.k_samples * dim >= _EPS_THREAD_MIN
                 and (allowed is None or len(allowed) > 1))
-    helper = nullcontext()
-    if threaded:
-        from concurrent.futures import ThreadPoolExecutor
-        helper = ThreadPoolExecutor(max_workers=1, initializer=_move_off,
-                                    initargs=(allowed, _current_cpu()))
-    # a non-finite value is reported by the checks, which name the op or the
-    # step, not as a warning
-    with helper as pool, np.errstate(all="ignore"):
-        eps_blocks = _eps_stream(eps_rng, n_refresh, (cfg.k_samples, dim),
-                                 pool)
+    place = (allowed, _current_cpu()) if threaded else None
+    # closing the stream joins the helper; a non-finite value is reported
+    # by the checks, which name the op or the step, not as a warning
+    with closing(_eps_stream(eps_rng, n_refresh, (cfg.k_samples, dim),
+                             place)) as eps_blocks, np.errstate(all="ignore"):
         eps, step = None, 0
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()

@@ -117,7 +117,9 @@ def predict_class(q, model, X, k_samples, seed):
 
     def block(Xb):
         logits = forward(Xb)                         # (K, C, B)
-        probs = np.exp(logits - np.expand_dims(ad.logsumexp(logits, axis=1), 1))
+        lse = np.expand_dims(ad.logsumexp(logits, axis=1), 1)
+        # the softmax is formed in the logits' own array
+        probs = np.exp(np.subtract(logits, lse, out=logits), out=logits)
         return probs.mean(axis=0).T
 
     return _by_row_block(block, X)

@@ -50,8 +50,7 @@ def test_a_probit_run_never_loads_scipy(tmp_path):
 
 
 def test_importing_the_package_and_cli_loads_no_process_pool():
-    # the pool of `workers > 1` and the eps helper's thread pool are
-    # imported when a run starts one
+    # the process pool of `workers > 1` is imported when a run starts one
     script = ("import sys, bbalpha, bbalpha.cli; print(sorted(m for m in"
               " ('multiprocessing', 'concurrent.futures',"
               " 'concurrent.futures.process') if m in sys.modules))")
@@ -60,6 +59,34 @@ def test_importing_the_package_and_cli_loads_no_process_pool():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_threaded_run_loads_no_executor_or_logging():
+    # the ε helper is a plain thread: concurrent.futures, with logging,
+    # traceback and string, would load inside the first threaded train()
+    script = textwrap.dedent("""
+        import json, os, sys, threading
+
+        os.sched_getaffinity = lambda pid: {0, 1}   # two CPUs on any host
+        from bbalpha import likelihoods as lk
+        from bbalpha.optim import TrainConfig, default_prior, train
+
+        started, start = [], threading.Thread.start
+        threading.Thread.start = lambda t: (started.append(t.name), start(t))
+        model = lk.MLPClassification(2, 50, 50, 3)     # perfbench's mlp_train
+        train(model, lk.gen_three_class(0, n=270), default_prior(model.theta_dim),
+              TrainConfig(alpha=0.5, k_samples=20, batch_size=32, epochs=1,
+                          learning_rate=0.01))
+        print(json.dumps({"threads": len(started), "loaded": sorted(
+            m for m in ("concurrent.futures", "logging", "queue")
+            if m in sys.modules)}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"threads": 1, "loaded": []}
 
 
 def _declared_dependencies():

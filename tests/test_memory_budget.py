@@ -96,6 +96,22 @@ def test_a_pooled_evaluation_stays_within_budget(kind, alpha, monkeypatch):
     assert peak <= POOLED_BUDGET * unit, "peak %.2f unit arrays" % (peak / unit)
 
 
+@pytest.mark.parametrize("alpha", [0.5, None])
+def test_a_pooled_mlp_evaluation_maps_two_theta_sized_buffers(alpha,
+                                                              monkeypatch):
+    # theta, and alpha_energy's theta^2, which it hands back before the
+    # mlp VJP asks for its (K, P) gradient
+    call, _ = _evaluation("mlp_classification", alpha)
+    model, _, K, _, _ = _problem("mlp_classification", np.random.default_rng(0))
+    mapped, real = [], ad._mapped
+    monkeypatch.setattr(ad, "_mapped",
+                        lambda shape, dtype: mapped.append(shape)
+                        or real(shape, dtype))
+    with ad.reuse_buffers():
+        call()
+    assert mapped.count((K, model.theta_dim)) == 2
+
+
 def test_prediction_peak_stays_within_one_budget_at_k_100_and_400():
     # two theta blocks (one drawn while the last one is still held), their
     # activations over 30 rows, and the (K, C, 30) outputs the reduction
@@ -110,3 +126,18 @@ def test_prediction_peak_stays_within_one_budget_at_k_100_and_400():
         peak = _peak_bytes(lambda: predict.predict_class(q, model, X, k_samples, 1))
         assert peak <= budget, "K %d: peak %.2f theta blocks" % (
             k_samples, peak / predict.THETA_BLOCK)
+
+
+def test_softmax_average_holds_few_output_arrays_at_256_rows():
+    # at K = 400 the (K, C, 256) outputs outweigh a theta block's
+    # activations: the concatenated logits, logsumexp's shifted
+    # exponentials and its (K, 1, B) rows, with the softmax formed in the
+    # logits' own array
+    model = lk.MLPClassification(2, 50, 50, 3)
+    P, K, rows = model.theta_dim, 400, predict.ROW_BLOCK
+    rng = np.random.default_rng(0)
+    q = FactorizedGaussian(rng.normal(0.0, 0.3, size=P), np.full(P, -3.0))
+    X = rng.normal(size=(rows, 2))
+    unit = K * model.n_classes * rows * 8
+    peak = _peak_bytes(lambda: predict.predict_class(q, model, X, K, 1))
+    assert peak <= 3.5 * unit, "peak %.2f output arrays" % (peak / unit)

@@ -3,9 +3,10 @@
 import io
 import os
 import pickle
+import sys
 import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,15 +282,93 @@ def test_error_fields_survive_pickling():
     assert str(inner) == str(NonFiniteIntermediate("exp"))
 
 
+# (None, None): a helper thread that stays on the CPUs it starts on
 @pytest.mark.parametrize("threaded", [False, True])
 def test_eps_stream_draws_exactly_the_serial_blocks(threaded):
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        blocks = [b.copy() for b in optim._eps_stream(
-            rng, 4, (3, 2), pool if threaded else None)]
+    blocks = [b.copy() for b in optim._eps_stream(
+        rng, 4, (3, 2), (None, None) if threaded else None)]
     want = [ref.standard_normal((3, 2)) for _ in range(4)]
     assert [b.tobytes() for b in blocks] == [w.tobytes() for w in want]
     assert rng.bit_generator.state == ref.bit_generator.state  # no fifth block
+
+
+class _FailingRng:
+    """A generator whose draw number `fails` (from 0) raises."""
+
+    def __init__(self, fails):
+        self.rng, self.fails, self.calls = np.random.default_rng(5), fails, 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls > self.fails:
+            raise MemoryError("draw %d" % self.fails)
+        return self.rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("fails", [0, 2])
+def test_a_failing_draw_raises_at_its_own_block(threaded, fails):
+    rng, ref = _FailingRng(fails), np.random.default_rng(5)
+    before = set(threading.enumerate())
+    stream = optim._eps_stream(rng, 4, (3, 2),
+                               (None, None) if threaded else None)
+    for _ in range(fails):
+        assert next(stream).tobytes() == ref.standard_normal((3, 2)).tobytes()
+    with pytest.raises(MemoryError, match="draw %d" % fails):
+        next(stream)
+    assert set(threading.enumerate()) == before     # the helper is joined
+    assert rng.calls == fails + 1
+
+
+@pytest.mark.parametrize("taken", [0, 1, 3, 6])
+def test_closing_the_stream_joins_the_helper(taken):
+    # the helper draws at most one block ahead of the caller's request, and
+    # it may or may not have drawn that block when the stream is closed; a
+    # stream closed before its first block starts no helper
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    before = set(threading.enumerate())
+    stream = optim._eps_stream(rng, 6, (3, 2), (None, None))
+    for _ in range(taken):
+        next(stream)
+    stream.close()
+    assert set(threading.enumerate()) == before
+    states = [ref.bit_generator.state]
+    for _ in range(6):
+        ref.standard_normal((3, 2))
+        states.append(ref.bit_generator.state)
+    drawn = states.index(rng.bit_generator.state)
+    assert drawn in ({0} if taken == 0 else {taken, min(taken + 1, 6)})
+
+
+def test_streams_under_fast_thread_switching_keep_each_block():
+    # four streams at once, eight threads on any CPU count, switching every
+    # microsecond: a helper that wrote into the block its caller holds would
+    # change it before the caller asks for the next one
+    interval, results = sys.getswitchinterval(), []
+
+    def consume(seed):
+        ref, ok = np.random.default_rng(seed), True
+        for block in optim._eps_stream(np.random.default_rng(seed), 300,
+                                       (4, 3), (None, None)):
+            held = block.copy()
+            time.sleep(0)               # the helper may run now
+            ok = (ok and held.tobytes() == block.tobytes()
+                  == ref.standard_normal((4, 3)).tobytes())
+        results.append(ok)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 4
 
 
 def _wide_linreg(d, n=16):
@@ -326,9 +405,9 @@ def test_train_eps_is_the_serial_stream(monkeypatch, two_cpus, d, k, threaded,
         threads.append(threading.active_count())
         return energy(layout, w, model, data, batch, alpha, eps_blocks)
 
-    def spy_stream(rng, n, shape, pool=None):
+    def spy_stream(rng, n, shape, place=None):
         counts.append(n)
-        return stream(rng, n, shape, pool)
+        return stream(rng, n, shape, place)
 
     monkeypatch.setattr(en.SlotLayout, "mc_estimates", spy_energy)
     monkeypatch.setattr(optim, "_eps_stream", spy_stream)
@@ -464,7 +543,7 @@ def test_helper_alone_moves_off_the_training_cpu(monkeypatch, outcome):
     assert len(calls) == 1
     thread, pid, cpus = calls[0]
     assert thread is not threading.current_thread()
-    assert thread.name.startswith("ThreadPoolExecutor")
+    assert thread.name == "bbalpha-eps"
     assert (pid, cpus) == (0, {1})
     assert real_get(0) == affinity
 

@@ -64,7 +64,8 @@ OP_SET = {"Var", "exp", "log", "relu", "asum", "logsumexp", "log_norm_cdf",
           "dot", "bmm", "reshape", "node", "value_and_grad", "norm_cdf"}
 # the functions behind Var's operators and indexing, and what the library
 # itself uses: the tape and the buffer pool
-LIBRARY = {"add", "sub", "mul", "div", "take", "Tape", "empty", "reuse_buffers"}
+LIBRARY = {"add", "sub", "mul", "div", "take", "Tape", "empty", "release",
+           "reuse_buffers"}
 
 
 def test_autodiff_exports_the_op_set_and_what_the_library_uses():

@@ -155,6 +155,43 @@ def test_a_raising_evaluation_returns_its_buffers():
     assert lent[1] is lent[0]
 
 
+def test_a_released_buffer_is_lent_once_to_the_next_request_of_its_key():
+    got = {}
+
+    def f(x):
+        a, b = ad.empty((3, 4)), ad.empty((3, 4))
+        ad.release(a)
+        ad.release(a)                   # a second release changes nothing
+        ad.release(np.empty((3, 4)))    # nor does one of an array not lent
+        got["other"] = ad.empty((4, 3))
+        got["next"], got["after"] = ad.empty((3, 4)), ad.empty((3, 4))
+        got["a"], got["b"] = a, b
+        return ad.asum(x)
+
+    with ad.reuse_buffers():
+        ad.value_and_grad(f, [np.ones(2)])
+        assert got["next"] is got["a"]
+        assert got["after"] is not got["a"] and got["after"] is not got["b"]
+        assert got["other"] is not got["a"]
+        first = got
+        got = {}
+        # every buffer went back once: the next call takes the same three
+        ad.value_and_grad(f, [np.ones(2)])
+    ids = lambda d: {id(d[k]) for k in ("a", "b", "after")}
+    assert ids(got) == ids(first)
+
+
+def test_release_outside_a_pooled_evaluation_changes_nothing():
+    kept = np.zeros((2, 3))
+    ad.release(kept)
+    with ad.reuse_buffers():
+        ad.release(kept)
+        lent = ad.empty((2, 3))         # no evaluation runs: not lent
+        assert lent is not kept and ad._buffers.lent is None
+    ad.value_and_grad(lambda x: ad.release(kept) or ad.asum(x), [np.ones(2)])
+    assert np.array_equal(kept, np.zeros((2, 3)))
+
+
 def _spy_on_lent_buffers(monkeypatch):
     """Weak references to every buffer ad.empty lends to an evaluation."""
     refs, empty = [], ad.empty
